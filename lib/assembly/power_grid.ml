@@ -1,4 +1,4 @@
-module Real = Mixsyn_util.Matrix.Real
+module Fmat = Mixsyn_util.Fmat
 
 type constraints = {
   max_ir_drop : float;
@@ -126,6 +126,17 @@ let build_model (fp : Floorplan.result) design =
 
 (* --- evaluation ------------------------------------------------------ *)
 
+(* node drops of the DC grid under a load-current vector *)
+let dc_drops model i_load =
+  let n = Array.length i_load in
+  Fmat.with_real n (fun ws ->
+      Fmat.Real.load ws model.g;
+      Fmat.Real.set_rhs ws i_load;
+      Fmat.Real.factor ws;
+      let drops = Array.make n 0.0 in
+      Fmat.Real.solve ws drops;
+      drops)
+
 let evaluate ?(vdd = 5.0) ?(awe_order = 3) fp design =
   let model = build_model fp design in
   let n = Array.length model.node_xy in
@@ -134,7 +145,7 @@ let evaluate ?(vdd = 5.0) ?(awe_order = 3) fp design =
   List.iter
     (fun ((b : Block.t), tap) -> i_load.(tap) <- i_load.(tap) +. b.Block.i_static)
     model.taps;
-  let drops = Real.solve model.g i_load in
+  let drops = dc_drops model i_load in
   let ir_drop = Array.fold_left Float.max 0.0 drops /. vdd in
   (* EM: segment currents *)
   let em_overload =
@@ -219,7 +230,7 @@ let synthesize ?(vdd = 5.0) ?(constraints = default_constraints) ?(pitch = 0.8e-
       (fun ((b : Block.t), tap) ->
         i_load.(tap) <- i_load.(tap) +. b.Block.i_static +. (0.3 *. b.Block.i_peak))
       model.taps;
-    let drops = Real.solve model.g i_load in
+    let drops = dc_drops model i_load in
     let strap_current = Array.make (Array.length !design.strap_widths) 0.0 in
     Array.iter
       (fun (a, b, strap, length) ->

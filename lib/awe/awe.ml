@@ -1,4 +1,4 @@
-module Real = Mixsyn_util.Matrix.Real
+module Fmat = Mixsyn_util.Fmat
 module Poly = Mixsyn_util.Poly
 
 type tf = {
@@ -9,26 +9,32 @@ type tf = {
 }
 
 let moments ~g ~c ~b ~out ~count =
-  let lu = Real.lu_factor g in
   let n = Array.length b in
   let ms = Array.make count 0.0 in
-  let x = ref (Real.lu_solve lu b) in
-  ms.(0) <- !x.(out);
-  for k = 1 to count - 1 do
-    let rhs = Array.make n 0.0 in
-    for i = 0 to n - 1 do
-      let acc = ref 0.0 in
-      for j = 0 to n - 1 do
-        acc := !acc +. (c.(i).(j) *. !x.(j))
-      done;
-      rhs.(i) <- -. !acc
-    done;
-    x := Real.lu_solve lu rhs;
-    ms.(k) <- !x.(out)
-  done;
+  (* factor G once, then one back-substitution per moment:
+     x_0 = G^-1 b,  x_k = -G^-1 C x_(k-1) *)
+  Fmat.with_real n (fun ws ->
+      Fmat.Real.load ws g;
+      Fmat.Real.factor ws;
+      let x = Array.make n 0.0 and rhs = Array.make n 0.0 in
+      Fmat.Real.set_rhs ws b;
+      Fmat.Real.solve ws x;
+      ms.(0) <- x.(out);
+      for k = 1 to count - 1 do
+        for i = 0 to n - 1 do
+          let acc = ref 0.0 in
+          for j = 0 to n - 1 do
+            acc := !acc +. (c.(i).(j) *. x.(j))
+          done;
+          rhs.(i) <- -. !acc
+        done;
+        Fmat.Real.set_rhs ws rhs;
+        Fmat.Real.solve ws x;
+        ms.(k) <- x.(out)
+      done);
   ms
 
-(* Padé at one order; raises Real.Singular when the Hankel system degenerates. *)
+(* Padé at one order; raises Fmat.Singular when the Hankel system degenerates. *)
 let try_pade ms q =
   (* frequency scaling: sigma ~ |m0/m1| keeps the Hankel system conditioned *)
   let sigma =
@@ -38,16 +44,19 @@ let try_pade ms q =
   let mu = Array.mapi (fun k m -> m *. (sigma ** float_of_int k)) ms in
   (* solve for denominator D(s) = 1 + d1 s + ... + dq s^q:
      for k = q..2q-1:  mu_k + sum_{i=1..q} d_i mu_{k-i} = 0 *)
-  let a = Real.create q q in
-  let rhs = Array.make q 0.0 in
-  for row = 0 to q - 1 do
-    let k = q + row in
-    for i = 1 to q do
-      a.(row).(i - 1) <- mu.(k - i)
-    done;
-    rhs.(row) <- -.mu.(k)
-  done;
-  let d = Real.solve a rhs in
+  let d = Array.make q 0.0 in
+  Fmat.with_real q (fun ws ->
+      let rhs = Array.make q 0.0 in
+      for row = 0 to q - 1 do
+        let k = q + row in
+        for i = 1 to q do
+          Fmat.Real.set ws row (i - 1) mu.(k - i)
+        done;
+        rhs.(row) <- -.mu.(k)
+      done;
+      Fmat.Real.set_rhs ws rhs;
+      Fmat.Real.factor ws;
+      Fmat.Real.solve ws d);
   let denom = Array.make (q + 1) 0.0 in
   denom.(0) <- 1.0;
   for i = 1 to q do
@@ -91,7 +100,7 @@ let try_pade ms q =
     let scale_ref = Float.max (Float.abs want) (Float.abs mu.(0)) in
     if Float.abs (got -. want) > 1e-4 *. Float.max scale_ref 1e-30 then ok := false
   done;
-  if not !ok then raise (Real.Singular q);
+  if not !ok then raise (Fmat.Singular q);
   (* undo scaling: s_hat = s / sigma -> p = p_hat * sigma, k = k_hat * sigma *)
   let sigma_c = { Complex.re = sigma; im = 0.0 } in
   let poles = Array.map (fun p -> Complex.mul p sigma_c) poles_scaled in
@@ -119,7 +128,7 @@ let pade ms ~order =
             tf.poles
         in
         if finite then tf else attempt (fallback q)
-      | exception Real.Singular _ -> attempt (fallback q)
+      | exception Fmat.Singular _ -> attempt (fallback q)
   in
   attempt (min order max_q)
 

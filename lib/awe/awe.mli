@@ -22,7 +22,10 @@ val moments :
   count:int -> float array
 (** [moments ~g ~c ~b ~out ~count] returns m_0..m_{count-1} of the transfer
     from source vector [b] to unknown [out], where the network is
-    [(G + sC) x = b]. *)
+    [(G + sC) x = b].  G is factored once in a pooled {!Mixsyn_util.Fmat}
+    workspace and each moment costs one back-substitution.
+    @raise Mixsyn_util.Fmat.Singular when G is singular — the same
+    exception as [Mixsyn_util.Matrix.Real.Singular]. *)
 
 val pade : float array -> order:int -> tf
 (** Match the given moments with [order] poles (order reduced on numerical
@@ -31,6 +34,9 @@ val pade : float array -> order:int -> tf
 val of_network :
   g:float array array -> c:float array array -> b:float array -> out:int ->
   order:int -> tf
+(** {!moments} then {!pade}.
+    @raise Mixsyn_util.Fmat.Singular when G is singular.
+    @raise Failure when no Padé order succeeds. *)
 
 val of_circuit :
   ?tech:Mixsyn_circuit.Tech.t ->
@@ -39,7 +45,8 @@ val of_circuit :
   out:Mixsyn_circuit.Netlist.net ->
   order:int ->
   tf
-(** AWE of the linearised circuit seen from its AC sources. *)
+(** AWE of the linearised circuit seen from its AC sources.  Raises as
+    {!of_network}. *)
 
 val eval : tf -> Complex.t -> Complex.t
 (** H(s) = sum residues/(s - poles). *)

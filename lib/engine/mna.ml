@@ -41,14 +41,6 @@ let voltage op n = if n = Netlist.gnd then 0.0 else op.x.(node_index n)
 
 let branch_current op ~layout name = op.x.(branch_index layout name)
 
-let stamp_real a i j v = if i >= 0 && j >= 0 then a.(i).(j) <- a.(i).(j) +. v
-
-let rhs_real b i v = if i >= 0 then b.(i) <- b.(i) +. v
-
-let stamp_cplx a i j v = if i >= 0 && j >= 0 then a.(i).(j) <- Complex.add a.(i).(j) v
-
-let rhs_cplx b i v = if i >= 0 then b.(i) <- Complex.add b.(i) v
-
 let linear_capacitors tech nl op =
   let explicit =
     List.filter_map

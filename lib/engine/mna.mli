@@ -35,14 +35,6 @@ type op = {
 val voltage : op -> Mixsyn_circuit.Netlist.net -> float
 val branch_current : op -> layout:layout -> string -> float
 
-val stamp_real : float array array -> int -> int -> float -> unit
-(** [stamp_real a i j v] adds [v] at (i,j), ignoring ground (-1) indices. *)
-
-val rhs_real : float array -> int -> float -> unit
-
-val stamp_cplx : Complex.t array array -> int -> int -> Complex.t -> unit
-val rhs_cplx : Complex.t array -> int -> Complex.t -> unit
-
 val linear_capacitors :
   Mixsyn_circuit.Tech.t -> Mixsyn_circuit.Netlist.t -> op ->
   (int * int * float) list

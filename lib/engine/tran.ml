@@ -1,5 +1,6 @@
 module Netlist = Mixsyn_circuit.Netlist
-module Real = Mixsyn_util.Matrix.Real
+module Fmat = Mixsyn_util.Fmat
+module FA = Float.Array
 
 type result = {
   times : float array;
@@ -7,15 +8,30 @@ type result = {
   tr_layout : Mna.layout;
 }
 
-(* Assemble the Newton system for one trapezoidal step.  [caps] carries the
-   linearised capacitances with their companion state (voltage and current at
-   the previous accepted timepoint). *)
-let assemble tech nl (layout : Mna.layout) x ~time ~caps ~geq =
-  let n = layout.Mna.size in
-  let a = Real.create n n in
-  let b = Array.make n 0.0 in
+(* The linearised capacitances with their trapezoidal companion state, kept
+   flat: plate rows (-1 for ground), the companion conductance
+   g_eq = 2C/dt, and the voltage across and current through each capacitor
+   at the previous accepted timepoint. *)
+type caps = {
+  plate_a : int array;
+  plate_b : int array;
+  geq : FA.t;
+  v_prev : FA.t;
+  i_prev : FA.t;
+}
+
+let across x caps k =
+  let ia = caps.plate_a.(k) and ib = caps.plate_b.(k) in
+  (if ia < 0 then 0.0 else x.(ia)) -. if ib < 0 then 0.0 else x.(ib)
+
+(* Assemble the Newton system for one trapezoidal step into [ws]: the
+   elements in netlist order, then the companion models, then gmin.  The
+   whole system is re-stamped from zero every iteration, in this order, so
+   every float sum matches the boxed reference assembly bit for bit. *)
+let assemble tech (layout : Mna.layout) ws elements caps x ~time =
+  Fmat.Real.clear ws;
   let v net = if net = Netlist.gnd then 0.0 else x.(Mna.node_index net) in
-  let stamp = Mna.stamp_real a and rhs = Mna.rhs_real b in
+  let stamp = Fmat.Real.stamp ws and rhs = Fmat.Real.rhs ws in
   let branch = ref (layout.Mna.nets - 1) in
   let each = function
     | Netlist.Resistor { a = na; b = nb; ohms; _ } ->
@@ -75,71 +91,90 @@ let assemble tech nl (layout : Mna.layout) x ~time ~caps ~geq =
       rhs id (-.const);
       rhs is const
   in
-  List.iter each (Netlist.elements nl);
+  Array.iter each elements;
   (* trapezoidal companion models: g_eq between the plates plus a history
      current source  I_eq = g_eq * v_prev + i_prev *)
-  Array.iteri
-    (fun k (na, nb, _c, v_prev, i_prev) ->
-      let ia = Mna.node_index na and ib = Mna.node_index nb in
-      let g = geq.(k) in
-      stamp ia ia g;
-      stamp ib ib g;
-      stamp ia ib (-.g);
-      stamp ib ia (-.g);
-      let ieq = (g *. v_prev) +. i_prev in
-      rhs ia ieq;
-      rhs ib (-.ieq))
-    caps;
+  for k = 0 to Array.length caps.plate_a - 1 do
+    let ia = caps.plate_a.(k) and ib = caps.plate_b.(k) in
+    let g = FA.get caps.geq k in
+    stamp ia ia g;
+    stamp ib ib g;
+    stamp ia ib (-.g);
+    stamp ib ia (-.g);
+    let ieq = (g *. FA.get caps.v_prev k) +. FA.get caps.i_prev k in
+    rhs ia ieq;
+    rhs ib (-.ieq)
+  done;
   (* small gmin for numerical robustness *)
   for i = 0 to layout.Mna.nets - 2 do
-    a.(i).(i) <- a.(i).(i) +. 1e-9
-  done;
-  (a, b)
+    stamp i i 1e-9
+  done
+
+let max_newton_iterations = 50
 
 let solve ?(tech = Mixsyn_circuit.Tech.generic_07um) nl op ~t_stop ~dt =
+  Mixsyn_util.Telemetry.count "tran.solves";
   let layout = op.Mna.op_layout in
   let n = layout.Mna.size in
-  let cap_list = Mna.linear_capacitors tech nl op |> List.filter (fun (a, b, c) -> a <> b && c > 0.0) in
-  let v_of x net = if net = Netlist.gnd then 0.0 else x.(Mna.node_index net) in
-  let caps =
-    Array.of_list
-      (List.map
-         (fun (a, b, c) -> (a, b, c, v_of op.Mna.x a -. v_of op.Mna.x b, 0.0))
-         cap_list)
+  let elements = Array.of_list (Netlist.elements nl) in
+  let cap_list =
+    Mna.linear_capacitors tech nl op
+    |> List.filter (fun (a, b, c) -> a <> b && c > 0.0)
+    |> Array.of_list
   in
-  let geq = Array.map (fun (_, _, c, _, _) -> 2.0 *. c /. dt) caps in
+  let caps =
+    { plate_a = Array.map (fun (a, _, _) -> Mna.node_index a) cap_list;
+      plate_b = Array.map (fun (_, b, _) -> Mna.node_index b) cap_list;
+      geq = FA.map_from_array (fun (_, _, c) -> 2.0 *. c /. dt) cap_list;
+      v_prev = FA.make (Array.length cap_list) 0.0;
+      i_prev = FA.make (Array.length cap_list) 0.0 }
+  in
+  for k = 0 to Array.length cap_list - 1 do
+    FA.set caps.v_prev k (across op.Mna.x caps k)
+  done;
   let steps = int_of_float (Float.ceil (t_stop /. dt)) in
   let times = Array.init (steps + 1) (fun k -> float_of_int k *. dt) in
   let samples = Array.make (steps + 1) [||] in
   samples.(0) <- Array.copy op.Mna.x;
   let x = Array.copy op.Mna.x in
-  for k = 1 to steps do
-    let time = times.(k) in
-    (* Newton iterate at this timestep *)
-    let rec iterate count =
-      let a, b = assemble tech nl layout x ~time ~caps ~geq in
-      let x_new = Real.solve a b in
-      let max_delta = ref 0.0 in
-      for i = 0 to n - 1 do
-        max_delta := Float.max !max_delta (Float.abs (x_new.(i) -. x.(i)))
-      done;
-      let limit = 0.5 in
-      let scale = if !max_delta > limit then limit /. !max_delta else 1.0 in
-      for i = 0 to n - 1 do
-        x.(i) <- x.(i) +. (scale *. (x_new.(i) -. x.(i)))
-      done;
-      if !max_delta > 1e-9 && count < 50 then iterate (count + 1)
-    in
-    iterate 0;
-    (* update companion state *)
-    Array.iteri
-      (fun i (na, nb, c, v_prev, i_prev) ->
-        let v_now = v_of x na -. v_of x nb in
-        let i_now = (geq.(i) *. (v_now -. v_prev)) -. i_prev in
-        caps.(i) <- (na, nb, c, v_now, i_now))
-      caps;
-    samples.(k) <- Array.copy x
-  done;
+  let x_new = Array.make n 0.0 in
+  let iterations = ref 0 and nonconverged = ref 0 in
+  (* one flat workspace from this domain's pool serves every Newton
+     iteration of every timestep *)
+  Fmat.with_real n (fun ws ->
+      for k = 1 to steps do
+        let time = times.(k) in
+        (* Newton iterate at this timestep; a step still moving after the
+           iteration cap is accepted as is, and counted *)
+        let rec iterate count =
+          incr iterations;
+          assemble tech layout ws elements caps x ~time;
+          Fmat.Real.factor ws;
+          Fmat.Real.solve ws x_new;
+          let max_delta = ref 0.0 in
+          for i = 0 to n - 1 do
+            max_delta := Float.max !max_delta (Float.abs (x_new.(i) -. x.(i)))
+          done;
+          let limit = 0.5 in
+          let scale = if !max_delta > limit then limit /. !max_delta else 1.0 in
+          for i = 0 to n - 1 do
+            x.(i) <- x.(i) +. (scale *. (x_new.(i) -. x.(i)))
+          done;
+          if !max_delta > 1e-9 then
+            if count < max_newton_iterations then iterate (count + 1) else incr nonconverged
+        in
+        iterate 0;
+        (* update companion state *)
+        for c = 0 to Array.length cap_list - 1 do
+          let v_now = across x caps c in
+          let i_now = (FA.get caps.geq c *. (v_now -. FA.get caps.v_prev c)) -. FA.get caps.i_prev c in
+          FA.set caps.v_prev c v_now;
+          FA.set caps.i_prev c i_now
+        done;
+        samples.(k) <- Array.copy x
+      done);
+  Mixsyn_util.Telemetry.add "tran.newton_iterations" !iterations;
+  Mixsyn_util.Telemetry.add "tran.newton_nonconverged" !nonconverged;
   { times; samples; tr_layout = layout }
 
 let voltage r k net =

@@ -19,6 +19,15 @@ val solve :
   t_stop:float ->
   dt:float ->
   result
+(** [solve nl op ~t_stop ~dt] integrates from the operating point [op] in
+    fixed steps of [dt].  Each Newton iteration re-stamps the whole system
+    into one flat {!Mixsyn_util.Fmat} workspace and solves it in place.  A
+    step whose Newton loop has not converged after 50 iterations is
+    accepted as is.  Per call it adds to the counters [tran.solves],
+    [tran.newton_iterations] and [tran.newton_nonconverged] (steps that
+    hit the iteration cap).
+    @raise Mixsyn_util.Fmat.Singular when a step's system is singular —
+    the same exception as [Mixsyn_util.Matrix.Real.Singular]. *)
 
 val voltage : result -> int -> Mixsyn_circuit.Netlist.net -> float
 

@@ -20,7 +20,6 @@ let with_op tech template x f =
   match Mixsyn_engine.Dc.solve ~tech nl with
   | op -> f nl op
   | exception Mixsyn_engine.Dc.No_convergence _ -> None
-  | exception Mixsyn_util.Matrix.Real.Singular _ -> None
 
 let full_simulation ?(tech = Mixsyn_circuit.Tech.generic_07um) template x =
   with_op tech template x (fun nl op ->
@@ -43,7 +42,7 @@ let awe_hybrid ?(tech = Mixsyn_circuit.Tech.generic_07um) template x =
       | exception Failure _ -> None
       (* a sizing whose conductance matrix degenerates has no AWE model:
          penalize the point like a non-converging DC solve, don't crash *)
-      | exception Mixsyn_util.Matrix.Real.Singular _ -> None
+      | exception Mixsyn_util.Fmat.Singular _ -> None
       | tf ->
         let gain = Mixsyn_awe.Awe.magnitude tf 0.01 in
         (* unity-gain crossing by bisection on the AWE model *)

@@ -51,15 +51,18 @@ let measure ?(tech = Tech.generic_07um) ?(config = Detector.default_config)
   let nl = Detector.build ~config tech s in
   match Mixsyn_engine.Dc.solve ~tech nl with
   | exception Mixsyn_engine.Dc.No_convergence _ -> None
-  | exception Mixsyn_util.Matrix.Real.Singular _ -> None
   | op ->
     let waveform =
-      match pulse_waveform tech config nl op ~use_transient with
-      | Some w -> Some w
-      | None ->
-        (* AWE model rejected: fall back to the transient engine *)
-        if use_transient then None
-        else pulse_waveform tech config nl op ~use_transient:true
+      (* a sizing whose AWE or transient system is singular has no pulse:
+         penalize it like a non-converging DC solve, don't abort the anneal *)
+      try
+        match pulse_waveform tech config nl op ~use_transient with
+        | Some w -> Some w
+        | None ->
+          (* AWE model rejected: fall back to the transient engine *)
+          if use_transient then None
+          else pulse_waveform tech config nl op ~use_transient:true
+      with Mixsyn_util.Fmat.Singular _ -> None
     in
     (match waveform with
      | None -> None

@@ -22,7 +22,8 @@ val measure :
 (** Full measurement of one sizing.  The pulse shape comes from an order-8
     AWE model of the linearised front-end by default; [use_transient] runs
     the trapezoidal engine instead (slower, used for final verification).
-    [None] when the bias point fails. *)
+    [None] when the bias point fails, when the AWE or transient system is
+    singular, or when no pulse can be measured. *)
 
 val specs : Spec.t list
 (** The Table 1 specification column. *)

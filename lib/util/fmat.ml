@@ -73,6 +73,23 @@ module Real = struct
   let set ws i j v = A1.set ws.a ((i * ws.n) + j) v
   let get ws i j = A1.get ws.a ((i * ws.n) + j)
 
+  let load ws m =
+    let n = ws.n in
+    if Array.length m <> n then invalid_arg "Fmat.Real.load: wrong size";
+    for i = 0 to n - 1 do
+      let row = m.(i) in
+      if Array.length row <> n then invalid_arg "Fmat.Real.load: wrong size";
+      for j = 0 to n - 1 do
+        A1.unsafe_set ws.a ((i * n) + j) (Array.unsafe_get row j)
+      done
+    done
+
+  let set_rhs ws b =
+    if Array.length b < ws.n then invalid_arg "Fmat.Real.set_rhs: too short";
+    for i = 0 to ws.n - 1 do
+      FA.set ws.b i (Array.unsafe_get b i)
+    done
+
   let swap_rows ws r0 r1 =
     let a = ws.a and n = ws.n in
     for j = 0 to n - 1 do

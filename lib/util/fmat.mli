@@ -21,7 +21,13 @@
     same Smith's-algorithm complex division — so results are bit-for-bit
     identical to [Matrix.Real] / [Matrix.Cplx] on the same system.  The
     property tests in [test_util.ml] hold this equivalence exactly, not
-    within a tolerance. *)
+    within a tolerance.
+
+    This is the only LU the library runs: DC Newton, AC and noise sweeps,
+    transient Newton ([Tran]), AWE moments and the Padé
+    Hankel solve, and the power-grid DC solve all use these workspaces.
+    [Matrix] survives only as the boxed oracle the tests compare
+    against. *)
 
 type buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -32,7 +38,8 @@ exception Singular of int
     magnitude of the column in the {e original} matrix (with an absolute
     floor of [1e-300]), so well-conditioned but tiny-valued systems (pF/nS
     stamps) factor fine while structurally singular ones are caught instead
-    of producing roundoff garbage.  {!Matrix.Make} applies the same test. *)
+    of producing roundoff garbage.  {!Matrix.Make} applies the same test
+    and raises this same exception. *)
 
 val pivot_threshold : float -> float
 (** [pivot_threshold col_scale] — the smallest acceptable pivot magnitude
@@ -56,7 +63,7 @@ module Real : sig
 
   val stamp : ws -> int -> int -> float -> unit
   (** [stamp ws i j v] adds [v] to [A.(i).(j)].  Negative indices are
-      ignored — the MNA ground convention, matching {!Mna.stamp_real}. *)
+      ignored — the MNA convention that ground is row/column [-1]. *)
 
   val rhs : ws -> int -> float -> unit
   (** [rhs ws i v] adds [v] to [b.(i)]; negative [i] is ignored. *)
@@ -65,6 +72,16 @@ module Real : sig
   (** [set ws i j v] overwrites [A.(i).(j)] (indices must be valid). *)
 
   val get : ws -> int -> int -> float
+
+  val load : ws -> float array array -> unit
+  (** [load ws m] overwrites the matrix with the square [m] (of size
+      [size ws]), for callers that already hold a dense system. *)
+
+  val set_rhs : ws -> float array -> unit
+  (** [set_rhs ws b] overwrites the right-hand side with the first
+      [size ws] entries of [b] and leaves the matrix, factored or not,
+      alone: after one {!factor}, repeated [set_rhs] + {!solve} pairs
+      back-substitute against the same LU (the AWE moment recurrence). *)
 
   val factor : ws -> unit
   (** LU-factor the matrix in place (destroys it).

@@ -72,7 +72,9 @@ module Make (S : SCALAR) = struct
 
   type lu = { lu_mat : mat; perm : int array; sign : bool }
 
-  exception Singular of int
+  (* one exception for both kernels, so a handler written against either
+     catches a singular system from both *)
+  exception Singular = Fmat.Singular
 
   (* Doolittle LU with partial pivoting; O(n^3), fine for the matrix sizes an
      analog cell or power grid produces (tens to low thousands of nodes).

@@ -1,8 +1,9 @@
 (** Dense matrices with LU factorisation, generic over the scalar field.
 
-    The circuit engine needs both real matrices (DC, transient) and complex
-    matrices (AC, noise), so the solver is a functor over {!SCALAR}.
-    Instantiations {!Real} and {!Cplx} are provided. *)
+    A boxed functor over {!SCALAR} with instantiations {!Real} and
+    {!Cplx}.  No library analysis solves with it any more: every LU runs on
+    the flat {!Fmat} kernels, and this module is the reference they are
+    tested against bit for bit. *)
 
 module type SCALAR = sig
   type t
@@ -44,7 +45,10 @@ module Make (S : SCALAR) : sig
   (** LU factorisation with partial pivoting. *)
 
   exception Singular of int
-  (** Raised with the offending pivot column when factorisation fails. *)
+  (** Raised with the offending pivot column when factorisation fails.
+      This is {!Fmat.Singular} itself (the implementation rebinds it), so
+      [Matrix.Real.Singular], [Matrix.Cplx.Singular] and [Fmat.Singular]
+      handlers are interchangeable. *)
 
   val lu_factor : mat -> lu
   val lu_solve : lu -> vec -> vec

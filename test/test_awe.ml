@@ -115,6 +115,54 @@ let test_order_reduction_graceful () =
   if tf.Awe.order > 4 then Alcotest.fail "order grew";
   check_close ~eps:1e-3 "still accurate" 1000.0 (Awe.magnitude tf 1e-3)
 
+(* the boxed recurrence [Awe.moments] ran before its Fmat port: one
+   [Matrix.Real.lu_factor] of G and a copying [lu_solve] per moment *)
+let oracle_moments ~g ~c ~b ~out ~count =
+  let module Real = Mixsyn_util.Matrix.Real in
+  let lu = Real.lu_factor g in
+  let n = Array.length b in
+  let ms = Array.make count 0.0 in
+  let x = ref (Real.lu_solve lu b) in
+  ms.(0) <- !x.(out);
+  for k = 1 to count - 1 do
+    let rhs = Array.make n 0.0 in
+    for i = 0 to n - 1 do
+      let acc = ref 0.0 in
+      for j = 0 to n - 1 do
+        acc := !acc +. (c.(i).(j) *. !x.(j))
+      done;
+      rhs.(i) <- -. !acc
+    done;
+    x := Real.lu_solve lu rhs;
+    ms.(k) <- !x.(out)
+  done;
+  ms
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* the 16 moments of the order-8 model Pulse_detector.measure builds, at
+   random in-box detector sizings *)
+let prop_moments_match_oracle =
+  let module D = Mixsyn_circuit.Detector in
+  let template = D.template () in
+  QCheck.Test.make ~name:"detector moments are bit-identical to the boxed oracle" ~count:30
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let x = Mixsyn_circuit.Template.random_point template (Mixsyn_util.Rng.create seed) in
+      let nl = D.build tech (D.sizing_of_vector x) in
+      match Mixsyn_engine.Dc.solve ~tech nl with
+      | exception Mixsyn_engine.Dc.No_convergence _ -> QCheck.assume_fail ()
+      | op -> (
+        let g, c, b = Mixsyn_engine.Ac.build_system tech nl op in
+        let b = Array.map (fun (z : Complex.t) -> z.Complex.re) b in
+        let out = Mixsyn_engine.Mna.node_index (N.find_net nl "out") in
+        match oracle_moments ~g ~c ~b ~out ~count:16 with
+        | exception Mixsyn_util.Matrix.Real.Singular _ -> (
+          match Awe.moments ~g ~c ~b ~out ~count:16 with
+          | exception Mixsyn_util.Fmat.Singular _ -> true
+          | _ -> false)
+        | want -> Array.for_all2 same_bits want (Awe.moments ~g ~c ~b ~out ~count:16)))
+
 let () =
   Alcotest.run "awe"
     [ ( "exact",
@@ -122,7 +170,8 @@ let () =
           Alcotest.test_case "moments" `Quick test_moments_match_theory;
           Alcotest.test_case "step response" `Quick test_step_response;
           Alcotest.test_case "impulse response" `Quick test_impulse_response;
-          Alcotest.test_case "two-pole ladder" `Quick test_two_pole_ladder ] );
+          Alcotest.test_case "two-pole ladder" `Quick test_two_pole_ladder;
+          QCheck_alcotest.to_alcotest prop_moments_match_oracle ] );
       ( "robustness",
         [ Alcotest.test_case "stable part" `Quick test_stable_part_drops_rhp;
           Alcotest.test_case "dominant pole" `Quick test_dominant_pole;

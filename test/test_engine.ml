@@ -224,13 +224,27 @@ let test_ac_ota_gain_formula () =
 
 (* --- transient -------------------------------------------------------------- *)
 
-let test_tran_rc_step () =
+(* a 1 V step into 1 kohm / 100 nF, and 2 V charging 1 uF through 100 ohm *)
+let rc_step () =
   let c = N.create () in
   let vin = N.new_net c and out = N.new_net ~name:"out" c in
   N.add c (N.Vsource { v_name = "v1"; p = vin; n = N.gnd; dc = 0.0; ac = 0.0;
                        v_wave = N.Pulse { v0 = 0.0; v1 = 1.0; delay = 1e-5; rise = 1e-7; width = 1.0 } });
   N.add c (N.Resistor { r_name = "r1"; a = vin; b = out; ohms = 1000.0 });
   N.add c (N.Capacitor { c_name = "c1"; a = out; b = N.gnd; farads = 1e-7 });
+  (c, out)
+
+let rc_charge () =
+  let c = N.create () in
+  let vin = N.new_net c and out = N.new_net c in
+  N.add c (N.Vsource { v_name = "v1"; p = vin; n = N.gnd; dc = 0.0; ac = 0.0;
+                       v_wave = N.Pulse { v0 = 0.0; v1 = 2.0; delay = 0.0; rise = 1e-9; width = 1.0 } });
+  N.add c (N.Resistor { r_name = "r1"; a = vin; b = out; ohms = 100.0 });
+  N.add c (N.Capacitor { c_name = "c1"; a = out; b = N.gnd; farads = 1e-6 });
+  (c, out)
+
+let test_tran_rc_step () =
+  let c, out = rc_step () in
   let op = Dc.solve ~tech c in
   let tr = Tran.solve ~tech c op ~t_stop:1e-3 ~dt:1e-6 in
   let w = Tran.waveform tr out in
@@ -249,17 +263,221 @@ let test_tran_settling_time () =
 
 let test_tran_energy_conservation () =
   (* charging a capacitor through a resistor: the capacitor ends with CV^2/2 *)
-  let c = N.create () in
-  let vin = N.new_net c and out = N.new_net c in
-  N.add c (N.Vsource { v_name = "v1"; p = vin; n = N.gnd; dc = 0.0; ac = 0.0;
-                       v_wave = N.Pulse { v0 = 0.0; v1 = 2.0; delay = 0.0; rise = 1e-9; width = 1.0 } });
-  N.add c (N.Resistor { r_name = "r1"; a = vin; b = out; ohms = 100.0 });
-  N.add c (N.Capacitor { c_name = "c1"; a = out; b = N.gnd; farads = 1e-6 });
+  let c, out = rc_charge () in
   let op = Dc.solve ~tech c in
   let tr = Tran.solve ~tech c op ~t_stop:2e-3 ~dt:2e-6 in
   let w = Tran.waveform tr out in
   let _, v_final = w.(Array.length w - 1) in
   check_close ~eps:1e-2 "fully charged" 2.0 v_final
+
+let test_tran_singular_raises () =
+  (* two parallel voltage sources with different values: a source loop,
+     so every step's system is truly singular.  The operating point is
+     built by hand because gmin keeps floating nodes solvable and
+     Dc.solve reports a singular system as No_convergence. *)
+  let c = N.create () in
+  let a = N.new_net c in
+  N.add c (N.Vsource { v_name = "v1"; p = a; n = N.gnd; dc = 1.0; ac = 0.0; v_wave = N.Dc_wave });
+  N.add c (N.Vsource { v_name = "v2"; p = a; n = N.gnd; dc = 2.0; ac = 0.0; v_wave = N.Dc_wave });
+  let layout = Mna.layout_of c in
+  let op =
+    { Mna.op_layout = layout; x = Array.make layout.Mna.size 0.0; mos_evals = []; iterations = 0 }
+  in
+  match Tran.solve ~tech c op ~t_stop:1e-6 ~dt:1e-7 with
+  | exception Mixsyn_util.Matrix.Real.Singular _ -> ()
+  | _ -> Alcotest.fail "expected Matrix.Real.Singular from a source loop"
+
+let test_tran_telemetry () =
+  let module T = Mixsyn_util.Telemetry in
+  let before name = T.counter name in
+  let solves = before "tran.solves"
+  and iterations = before "tran.newton_iterations"
+  and nonconverged = before "tran.newton_nonconverged" in
+  let c, _ = rc_step () in
+  let op = Dc.solve ~tech c in
+  let tr = Tran.solve ~tech c op ~t_stop:1e-4 ~dt:1e-6 in
+  let steps = Array.length tr.Tran.times - 1 in
+  Alcotest.(check int) "one solve" (solves + 1) (T.counter "tran.solves");
+  (* a linear circuit converges within two Newton iterations every step *)
+  let ran = T.counter "tran.newton_iterations" - iterations in
+  if ran < steps || ran > 2 * steps then
+    Alcotest.failf "%d Newton iterations over %d steps" ran steps;
+  Alcotest.(check int) "no step hit the cap" nonconverged (T.counter "tran.newton_nonconverged")
+
+(* --- transient bit-identity oracle --------------------------------------- *)
+
+(* The boxed transient the engine ran before its Fmat port: a fresh
+   [float array array] assembly and a copying [Matrix.Real.solve] on every
+   Newton iteration.  [Tran.solve] must reproduce it bit for bit. *)
+module Oracle_tran = struct
+  module Real = Mixsyn_util.Matrix.Real
+
+  let assemble nl (layout : Mna.layout) x ~time ~caps ~geq =
+    let n = layout.Mna.size in
+    let a = Real.create n n in
+    let b = Array.make n 0.0 in
+    let v net = if net = N.gnd then 0.0 else x.(Mna.node_index net) in
+    let stamp i j g = if i >= 0 && j >= 0 then a.(i).(j) <- a.(i).(j) +. g in
+    let rhs i g = if i >= 0 then b.(i) <- b.(i) +. g in
+    let branch = ref (layout.Mna.nets - 1) in
+    let each = function
+      | N.Resistor { a = na; b = nb; ohms; _ } ->
+        let g = 1.0 /. ohms in
+        let ia = Mna.node_index na and ib = Mna.node_index nb in
+        stamp ia ia g;
+        stamp ib ib g;
+        stamp ia ib (-.g);
+        stamp ib ia (-.g)
+      | N.Capacitor _ -> ()
+      | N.Vccs { p; n = nn; cp; cn; gm; _ } ->
+        let ip = Mna.node_index p and inn = Mna.node_index nn in
+        let icp = Mna.node_index cp and icn = Mna.node_index cn in
+        stamp ip icp gm;
+        stamp ip icn (-.gm);
+        stamp inn icp (-.gm);
+        stamp inn icn gm
+      | N.Isource { p; n = nn; dc; i_wave; _ } ->
+        let value = N.wave_value i_wave ~dc time in
+        rhs (Mna.node_index p) value;
+        rhs (Mna.node_index nn) (-.value)
+      | N.Vsource { p; n = nn; dc; v_wave; _ } ->
+        let row = !branch in
+        incr branch;
+        let value = N.wave_value v_wave ~dc time in
+        let ip = Mna.node_index p and inn = Mna.node_index nn in
+        stamp ip row 1.0;
+        stamp inn row (-1.0);
+        stamp row ip 1.0;
+        stamp row inn (-1.0);
+        rhs row value
+      | N.Mos m ->
+        let e =
+          Mos.evaluate tech m ~vd:(v m.N.drain) ~vg:(v m.N.gate) ~vs:(v m.N.source)
+            ~vb:(v m.N.bulk)
+        in
+        let id = Mna.node_index m.N.drain
+        and ig = Mna.node_index m.N.gate
+        and is = Mna.node_index m.N.source
+        and ib = Mna.node_index m.N.bulk in
+        let open Mos in
+        stamp id id e.did_dvd;
+        stamp id ig e.did_dvg;
+        stamp id is e.did_dvs;
+        stamp id ib e.did_dvb;
+        stamp is id (-.e.did_dvd);
+        stamp is ig (-.e.did_dvg);
+        stamp is is (-.e.did_dvs);
+        stamp is ib (-.e.did_dvb);
+        let linear_at_op =
+          (e.did_dvd *. v m.N.drain)
+          +. (e.did_dvg *. v m.N.gate)
+          +. (e.did_dvs *. v m.N.source)
+          +. (e.did_dvb *. v m.N.bulk)
+        in
+        let const = e.ids -. linear_at_op in
+        rhs id (-.const);
+        rhs is const
+    in
+    List.iter each (N.elements nl);
+    Array.iteri
+      (fun k (na, nb, _c, v_prev, i_prev) ->
+        let ia = Mna.node_index na and ib = Mna.node_index nb in
+        let g = geq.(k) in
+        stamp ia ia g;
+        stamp ib ib g;
+        stamp ia ib (-.g);
+        stamp ib ia (-.g);
+        let ieq = (g *. v_prev) +. i_prev in
+        rhs ia ieq;
+        rhs ib (-.ieq))
+      caps;
+    for i = 0 to layout.Mna.nets - 2 do
+      a.(i).(i) <- a.(i).(i) +. 1e-9
+    done;
+    (a, b)
+
+  let solve nl op ~t_stop ~dt =
+    let layout = op.Mna.op_layout in
+    let n = layout.Mna.size in
+    let cap_list =
+      Mna.linear_capacitors tech nl op |> List.filter (fun (a, b, c) -> a <> b && c > 0.0)
+    in
+    let v_of x net = if net = N.gnd then 0.0 else x.(Mna.node_index net) in
+    let caps =
+      Array.of_list
+        (List.map (fun (a, b, c) -> (a, b, c, v_of op.Mna.x a -. v_of op.Mna.x b, 0.0)) cap_list)
+    in
+    let geq = Array.map (fun (_, _, c, _, _) -> 2.0 *. c /. dt) caps in
+    let steps = int_of_float (Float.ceil (t_stop /. dt)) in
+    let times = Array.init (steps + 1) (fun k -> float_of_int k *. dt) in
+    let samples = Array.make (steps + 1) [||] in
+    samples.(0) <- Array.copy op.Mna.x;
+    let x = Array.copy op.Mna.x in
+    for k = 1 to steps do
+      let time = times.(k) in
+      let rec iterate count =
+        let a, b = assemble nl layout x ~time ~caps ~geq in
+        let x_new = Real.solve a b in
+        let max_delta = ref 0.0 in
+        for i = 0 to n - 1 do
+          max_delta := Float.max !max_delta (Float.abs (x_new.(i) -. x.(i)))
+        done;
+        let limit = 0.5 in
+        let scale = if !max_delta > limit then limit /. !max_delta else 1.0 in
+        for i = 0 to n - 1 do
+          x.(i) <- x.(i) +. (scale *. (x_new.(i) -. x.(i)))
+        done;
+        if !max_delta > 1e-9 && count < 50 then iterate (count + 1)
+      in
+      iterate 0;
+      Array.iteri
+        (fun i (na, nb, c, v_prev, i_prev) ->
+          let v_now = v_of x na -. v_of x nb in
+          let i_now = (geq.(i) *. (v_now -. v_prev)) -. i_prev in
+          caps.(i) <- (na, nb, c, v_now, i_now))
+        caps;
+      samples.(k) <- Array.copy x
+    done;
+    (times, samples)
+end
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* [Tran.solve] and the oracle agree on every sample bit for bit, or both
+   find the system singular *)
+let tran_matches_oracle nl op ~t_stop ~dt =
+  match Oracle_tran.solve nl op ~t_stop ~dt with
+  | exception Mixsyn_util.Matrix.Real.Singular _ -> (
+    match Tran.solve ~tech nl op ~t_stop ~dt with
+    | exception Mixsyn_util.Fmat.Singular _ -> true
+    | _ -> false)
+  | times, samples ->
+    let tr = Tran.solve ~tech nl op ~t_stop ~dt in
+    Array.length tr.Tran.samples = Array.length samples
+    && Array.for_all2 same_bits tr.Tran.times times
+    && Array.for_all2 (Array.for_all2 same_bits) tr.Tran.samples samples
+
+let test_tran_rc_matches_oracle () =
+  List.iter
+    (fun (name, (c, _), t_stop, dt) ->
+      let op = Dc.solve ~tech c in
+      if not (tran_matches_oracle c op ~t_stop ~dt) then
+        Alcotest.failf "%s: Tran.solve differs from the boxed oracle" name)
+    [ ("rc step", rc_step (), 1e-3, 1e-6); ("rc charge", rc_charge (), 2e-3, 2e-6) ]
+
+(* the Table 1 front end at random in-box sizings, over the window
+   Pulse_detector.measure simulates *)
+let prop_tran_detector_matches_oracle =
+  let module D = Mixsyn_circuit.Detector in
+  let template = D.template () in
+  QCheck.Test.make ~name:"detector transient is bit-identical to the boxed oracle" ~count:10
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let x = Mixsyn_circuit.Template.random_point template (Mixsyn_util.Rng.create seed) in
+      let nl = D.build tech (D.sizing_of_vector x) in
+      match Dc.solve ~tech nl with
+      | exception Dc.No_convergence _ -> QCheck.assume_fail ()
+      | op -> tran_matches_oracle nl op ~t_stop:12e-6 ~dt:6e-9)
 
 (* --- noise ------------------------------------------------------------------ *)
 
@@ -428,7 +646,11 @@ let () =
       ( "transient",
         [ Alcotest.test_case "rc step" `Quick test_tran_rc_step;
           Alcotest.test_case "settling time" `Quick test_tran_settling_time;
-          Alcotest.test_case "charge completion" `Quick test_tran_energy_conservation ] );
+          Alcotest.test_case "charge completion" `Quick test_tran_energy_conservation;
+          Alcotest.test_case "singular system raises" `Quick test_tran_singular_raises;
+          Alcotest.test_case "telemetry counters" `Quick test_tran_telemetry;
+          Alcotest.test_case "rc matches boxed oracle" `Quick test_tran_rc_matches_oracle;
+          QCheck_alcotest.to_alcotest prop_tran_detector_matches_oracle ] );
       ( "noise",
         [ Alcotest.test_case "4kTR floor" `Quick test_noise_resistor_4ktr;
           Alcotest.test_case "kT/C invariant" `Quick test_noise_ktc;
