@@ -559,9 +559,10 @@ let run_parallel () =
   let repeats = bench_repeats () in
   let gc0 = Gc.quick_stat () in
   Printf.printf
-    "each loop runs at --jobs 1 then --jobs {%s} on the same seed (%d repeats,\n\
+    "each pool loop runs at --jobs 1 then --jobs {%s} on the same seed (%d repeats,\n\
      median reported); the deterministic reduction makes the results bit-identical.\n\
-     this host exposes %d core(s); the pool never fans out past them.\n\n"
+     this host exposes %d core(s); the pool never fans out past them.\n\
+     sweeps run inline, so ac-sweep is timed at --jobs 1 only.\n\n"
     (String.concat "," (List.map string_of_int curve_jobs))
     repeats host_cores;
   let time f =
@@ -569,35 +570,37 @@ let run_parallel () =
     let r = f () in
     (r, Unix.gettimeofday () -. t0)
   in
+  (* median and min wall time over [repeats] runs, and whether every run
+     reproduced [expect] *)
+  let timed ~expect first_s f =
+    let runs = List.init (repeats - 1) (fun _ -> time f) in
+    let ss = first_s :: List.map snd runs in
+    (median ss, fmin ss, List.for_all (fun (r, _) -> r = expect) runs)
+  in
   let rows = ref [] in
-  let bench ~items name f =
+  (* a [sequential] row is timed and allocation-capped at --jobs 1 only *)
+  let bench ?(sequential = false) ~items name f =
     (* allocation is measured on the first sequential run: at --jobs 1
        every solve happens on this domain, so [Gc.minor_words] is exact *)
     let w0 = Gc.minor_words () in
     let seq, seq_s0 = time (fun () -> f 1) in
     let words_per_item = (Gc.minor_words () -. w0) /. float_of_int (max 1 items) in
-    let seq_ss =
-      seq_s0 :: List.init (repeats - 1) (fun _ -> snd (time (fun () -> f 1)))
-    in
-    let seq_s = median seq_ss in
+    let seq_s, seq_min, seq_same = timed ~expect:seq seq_s0 (fun () -> f 1) in
     let curve =
       List.map
         (fun j ->
           let par, par_s0 = time (fun () -> f j) in
-          let par_ss =
-            par_s0 :: List.init (repeats - 1) (fun _ -> snd (time (fun () -> f j)))
-          in
-          let par_s = median par_ss in
-          (j, par_s, fmin par_ss, seq_s /. Float.max par_s 1e-9, seq = par))
-        curve_jobs
+          let par_s, par_min, par_same = timed ~expect:par par_s0 (fun () -> f j) in
+          (j, par_s, par_min, seq_s /. Float.max par_s 1e-9, par_same && seq = par))
+        (if sequential then [] else curve_jobs)
     in
-    let identical = List.for_all (fun (_, _, _, _, id) -> id) curve in
+    let identical = seq_same && List.for_all (fun (_, _, _, _, id) -> id) curve in
     Printf.printf "%-20s seq %7.3fs " name seq_s;
     List.iter
       (fun (j, par_s, _, speedup, _) -> Printf.printf " j%d %7.3fs %5.2fx " j par_s speedup)
       curve;
     Printf.printf " identical %b  %8.0f w/item\n" identical words_per_item;
-    rows := (name, seq_s, fmin seq_ss, curve, identical, words_per_item) :: !rows
+    rows := (name, seq_s, seq_min, curve, identical, words_per_item) :: !rows
   in
   let nl =
     Top.miller_ota.Tp.build tech
@@ -625,20 +628,22 @@ let run_parallel () =
       let c, v, e = Mixsyn_opt.Corner_search.worst_corner ~refine:false ~jobs:j ~violation () in
       (c.Mixsyn_circuit.Tech.d_vdd, c.Mixsyn_circuit.Tech.d_temp,
        c.Mixsyn_circuit.Tech.d_vth, c.Mixsyn_circuit.Tech.d_kp, v, e));
-  (* dense AC sweep: one complex solve per frequency point *)
+  (* dense AC sweep: one complex solve per frequency point, inline *)
   let op = Mixsyn_engine.Dc.solve ~tech nl in
   let freqs =
     Mixsyn_engine.Ac.log_sweep ~decades_from:0.0 ~decades_to:9.0 ~points_per_decade:300
   in
-  bench ~items:(Array.length freqs) "ac-sweep" (fun j ->
-      (Mixsyn_engine.Ac.solve ~tech ~jobs:j nl op ~freqs).Mixsyn_engine.Ac.solutions);
+  bench ~sequential:true ~items:(Array.length freqs) "ac-sweep" (fun _ ->
+      (Mixsyn_engine.Ac.solve ~tech nl op ~freqs).Mixsyn_engine.Ac.solutions);
   let rows = List.rev !rows in
   let top_point curve = List.nth curve (List.length curve - 1) in
   let best_speedup =
     List.fold_left
       (fun acc (_, _, _, curve, _, _) ->
-        let _, _, _, s, _ = top_point curve in
-        Float.max acc s)
+        if curve = [] then acc
+        else
+          let _, _, _, s, _ = top_point curve in
+          Float.max acc s)
       0.0 rows
   in
   let curve_json curve =
@@ -653,10 +658,16 @@ let run_parallel () =
     String.concat ","
       (List.map
          (fun (n, s, smin, curve, id, w) ->
-           let _, p, pmin, sp, _ = top_point curve in
-           Printf.sprintf
-             "{\"name\":\"%s\",\"seq_s\":%.4f,\"seq_s_min\":%.4f,\"par_s\":%.4f,\"par_s_min\":%.4f,\"speedup\":%.3f,\"identical\":%b,\"minor_words_per_item\":%.1f,\"speedups_by_jobs\":[%s]}"
-             n s smin p pmin sp id w (curve_json curve))
+           let seq_fields =
+             Printf.sprintf "\"name\":\"%s\",\"seq_s\":%.4f,\"seq_s_min\":%.4f" n s smin
+           in
+           let tail = Printf.sprintf "\"identical\":%b,\"minor_words_per_item\":%.1f" id w in
+           if curve = [] then Printf.sprintf "{%s,%s}" seq_fields tail
+           else
+             let _, p, pmin, sp, _ = top_point curve in
+             Printf.sprintf
+               "{%s,\"par_s\":%.4f,\"par_s_min\":%.4f,\"speedup\":%.3f,%s,\"speedups_by_jobs\":[%s]}"
+               seq_fields p pmin sp tail (curve_json curve))
          rows)
   in
   let gc1 = Gc.quick_stat () in

@@ -64,9 +64,9 @@ let jobs_env =
 let jobs_arg =
   Arg.(value & opt (some jobs_conv) None
        & info [ "jobs" ] ~docv:"N" ~env:jobs_env
-           ~doc:"Worker domains for the parallel evaluation loops (corner sweeps, annealing \
-                 multi-starts, placement retries, frequency sweeps, batch jobs).  Defaults \
-                 to $(b,MIXSYN_JOBS) or the machine's core count; results are identical at \
+           ~doc:"Worker domains for the outermost parallel loop (batch jobs, annealing \
+                 multi-starts, GA populations, corner sweeps).  Defaults to \
+                 $(b,MIXSYN_JOBS) or the machine's core count; results are identical at \
                  any value.  Must be at least 1.")
 
 let apply_jobs = function
@@ -153,8 +153,7 @@ let topo_cmd =
 (* --- layout ----------------------------------------------------------- *)
 
 let layout_cmd =
-  let run topology seed jobs telemetry =
-    apply_jobs jobs;
+  let run topology seed telemetry =
     let template = find_template topology in
     let tech = Mixsyn_circuit.Tech.generic_07um in
     let params = Mixsyn_circuit.Template.midpoint template in
@@ -174,7 +173,7 @@ let layout_cmd =
     report_telemetry telemetry
   in
   Cmd.v (Cmd.info "layout" ~doc:"Lay out a midpoint-sized topology, procedural vs KOAN.")
-    Term.(const run $ topology_arg $ seed_arg $ jobs_arg $ telemetry_arg)
+    Term.(const run $ topology_arg $ seed_arg $ telemetry_arg)
 
 (* --- table1 ----------------------------------------------------------- *)
 
@@ -737,14 +736,9 @@ let batch_cmd =
       `S "SCHEDULER KNOBS";
       `P "Whole jobs are the unit of work stealing: each domain claims one job at a \
           time from the shared queue, keeping its warm per-domain solver workspaces \
-          across consecutive jobs.  $(b,--jobs) (or $(b,MIXSYN_JOBS)) sets the worker \
-          count, but the pool never runs more domains than the machine has cores: \
-          $(b,MIXSYN_POOL_CORES) overrides the detected core count and \
-          $(b,MIXSYN_POOL_OVERSUBSCRIBE=1) removes the cap for A/B measurements.  \
-          $(b,MIXSYN_POOL_MIN_WORK_US) tunes the minimum estimated work (default \
-          1000 µs) below which a parallel loop runs inline, and \
-          $(b,MIXSYN_MINOR_HEAP) sizes each worker's minor heap in words \
-          (default 4M).";
+          across consecutive jobs, and everything inside a job runs inline on its \
+          domain.  $(b,--jobs) (or $(b,MIXSYN_JOBS)) sets the worker count, but the \
+          pool never runs more domains than the machine has cores.";
       `S "MANIFEST FORMAT";
       `P "One JSON object per line, for example:";
       `Pre "  {\"id\": \"ota-70db\", \"seed\": 13,\n\
@@ -977,30 +971,20 @@ let main =
           with a bounded work queue, rate limits and graceful drain.";
       `P "An unknown subcommand prints usage on standard error and exits nonzero.";
       `S "PARALLELISM";
-      `P "$(b,size), $(b,layout), $(b,flow) and $(b,batch) accept $(b,--jobs) $(i,N) to \
+      `P "$(b,size), $(b,flow) and $(b,batch) accept $(b,--jobs) $(i,N) to \
           run their evaluation loops on $(i,N) worker domains ($(b,MIXSYN_JOBS) sets the \
           same default from the environment; both reject counts below 1).  Results are \
           bit-identical at any job count.";
-      `P "Library callers can additionally pass $(b,?chunk) to any pool entry point \
-          ($(b,Pool.parallel_map) and the loops built on it, e.g. $(b,Ac.solve)): \
-          workers claim that many consecutive items per atomic fetch.  Larger chunks \
-          amortize claim overhead across fine items such as AC frequency points; \
-          $(b,chunk = 1) keeps coarse items (annealing chains) evenly spread.  Like \
-          $(b,--jobs), it changes scheduling only — never the result.";
-      `P "Parallelism does not always pay.  Each wired loop carries a learned \
-          per-item cost estimate; when the estimated total work of a call falls \
-          under $(b,MIXSYN_POOL_MIN_WORK_US) microseconds (default 1000), the pool \
-          runs it inline on the calling domain instead of waking workers — counted \
-          as $(b,pool.grain_fallbacks) in the telemetry report, and still \
-          bit-identical.  Set it to $(b,0) to always go parallel.";
-      `P "Worker domains run with an enlarged minor heap — $(b,MIXSYN_MINOR_HEAP) \
-          words, default 4194304, minimum 65536 — because OCaml's stop-the-world \
+      `P "Only the outermost loop runs in parallel: batch jobs, annealing restarts, \
+          GA populations and corner sweeps.  Everything inside one of their items \
+          runs inline on its domain, and frequency sweeps and layout retries always \
+          run inline.";
+      `P "Worker domains run with a 4M-word minor heap, because OCaml's stop-the-world \
           minor collections pause every domain: allocation-heavy workers throttle \
           each other, and on such workloads $(b,--jobs) 4 can lose to $(b,--jobs) 1. \
           The $(b,pool.minor_collections) / $(b,pool.major_collections) telemetry \
           counters report the collections observed during parallel regions; if they \
-          grow with the job count, reduce allocation (or raise the minor heap) \
-          before adding workers." ]
+          grow with the job count, reduce allocation before adding workers." ]
   in
   Cmd.group
     (Cmd.info "msyn" ~version:"1.0.0" ~doc ~man)

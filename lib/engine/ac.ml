@@ -100,31 +100,25 @@ let flatten_system (g, c, (b : Complex.t array)) =
     fs_bre = Float.Array.init n (fun i -> b.(i).Complex.re);
     fs_bim = Float.Array.init n (fun i -> b.(i).Complex.im) }
 
-(* short sweeps over small systems (a flow's 40-point Bode probe) lose
-   more to fan-out than they gain; the grain lets the pool learn that *)
-let sweep_grain = Mixsyn_util.Pool.grain "ac.sweep"
-
-let solve ?(tech = Mixsyn_circuit.Tech.generic_07um) ?jobs ?chunk nl op ~freqs =
+let solve ?(tech = Mixsyn_circuit.Tech.generic_07um) nl op ~freqs =
   Mixsyn_util.Telemetry.count "ac.solves";
   Mixsyn_util.Telemetry.add "ac.freq_points" (Array.length freqs);
   let fs = flatten_system (build_system tech nl op) in
   (* each frequency point is an independent in-place solve against the
-     shared read-only flat system; workers claim contiguous frequency
-     bands and amortise one pooled complex workspace across a whole band
+     shared read-only flat system, all in one pooled complex workspace
      (load/factor/solve in place per point), results in frequency order *)
   let solutions =
-    Mixsyn_util.Pool.parallel_banded ?jobs ?chunk ~grain:sweep_grain
-      (Array.length freqs)
-      (fun start len ->
-        Fmat.with_cplx fs.fs_n (fun ws ->
-            Array.init len (fun k ->
-                let omega = 2.0 *. Float.pi *. freqs.(start + k) in
-                Fmat.Cplx.load_ac ws ~g:fs.fs_g ~c:fs.fs_c ~omega;
-                Fmat.Cplx.set_rhs ws ~re:fs.fs_bre ~im:fs.fs_bim;
-                Fmat.Cplx.factor ws;
-                let x = Array.make fs.fs_n Complex.zero in
-                Fmat.Cplx.solve ws x;
-                x)))
+    Fmat.with_cplx fs.fs_n (fun ws ->
+        Array.map
+          (fun f ->
+            let omega = 2.0 *. Float.pi *. f in
+            Fmat.Cplx.load_ac ws ~g:fs.fs_g ~c:fs.fs_c ~omega;
+            Fmat.Cplx.set_rhs ws ~re:fs.fs_bre ~im:fs.fs_bim;
+            Fmat.Cplx.factor ws;
+            let x = Array.make fs.fs_n Complex.zero in
+            Fmat.Cplx.solve ws x;
+            x)
+          freqs)
   in
   { freqs; solutions; ac_layout = op.Mna.op_layout }
 

@@ -8,8 +8,6 @@ type result = {
 
 val solve :
   ?tech:Mixsyn_circuit.Tech.t ->
-  ?jobs:int ->
-  ?chunk:int ->
   Mixsyn_circuit.Netlist.t ->
   Mna.op ->
   freqs:float array ->
@@ -17,13 +15,10 @@ val solve :
 (** Solves [(G + jωC) x = b] at each frequency, where [G] holds the MOS
     small-signal conductances of the operating point and [b] the AC source
     magnitudes.  [G] and [C] are stamped once into flat read-only planes;
-    each frequency point then reloads a per-domain {!Mixsyn_util.Fmat}
-    workspace in place (re ← G, im ← ωC) and factor/solves there, so the
-    only per-point allocation is the solution vector.  Frequency points
-    solve concurrently on the {!Mixsyn_util.Pool} ([jobs] defaults to
-    [Pool.default_jobs ()]); workers claim contiguous frequency {e bands}
-    of [chunk] points (default: the pool's [n / (jobs * 4)] heuristic).
-    [solutions] is in frequency order regardless of [jobs] and [chunk]. *)
+    the whole sweep then runs in one {!Mixsyn_util.Fmat} workspace,
+    reloaded in place (re ← G, im ← ωC) and factor/solved per point, so
+    the only per-point allocation is the solution vector.  The sweep runs
+    inline on the calling domain; [solutions] is in frequency order. *)
 
 val voltage : result -> int -> Mixsyn_circuit.Netlist.net -> Complex.t
 (** [voltage r k net] — complex node voltage at frequency index [k]. *)

@@ -26,9 +26,7 @@ let integrate series =
   done;
   !acc
 
-let sweep_grain = Mixsyn_util.Pool.grain "noise.sweep"
-
-let analyze ?(tech = Mixsyn_circuit.Tech.generic_07um) ?jobs ?chunk nl op ~out ~freqs =
+let analyze ?(tech = Mixsyn_circuit.Tech.generic_07um) nl op ~out ~freqs =
   let g, c, _b = Ac.build_system tech nl op in
   let n = Array.length g in
   let out_index = Mna.node_index out in
@@ -59,7 +57,7 @@ let analyze ?(tech = Mixsyn_circuit.Tech.generic_07um) ?jobs ?chunk nl op ~out ~
   in
   let sources = resistor_sources @ mos_sources in
   (* adjoint system: A^T y = e_out; transfer from an injection (a,b) to
-     v_out is y_a - y_b.  [y] is the band's scratch solution vector —
+     v_out is y_a - y_b.  [y] is the sweep's scratch solution vector —
      every point's contributions are folded out of it before the next
      point's solve overwrites it. *)
   let point_of y freq =
@@ -78,21 +76,20 @@ let analyze ?(tech = Mixsyn_circuit.Tech.generic_07um) ?jobs ?chunk nl op ~out ~
     let total_psd = List.fold_left (fun acc cntr -> acc +. cntr.psd) 0.0 contributions in
     { freq; total_psd; contributions }
   in
-  (* one adjoint solve per frequency, independent given the shared
-     read-only flat (g, c) — fan out in contiguous frequency bands, one
-     pooled workspace and one scratch vector per band, results in order *)
+  (* one adjoint solve per frequency against the shared read-only flat
+     (g, c), all in one pooled workspace and one scratch vector, results
+     in frequency order *)
   let points =
-    Mixsyn_util.Pool.parallel_banded ?jobs ?chunk ~grain:sweep_grain (Array.length freqs)
-      (fun start len ->
-        let y = Array.make n Complex.zero in
-        Fmat.with_cplx n (fun ws ->
-            Array.init len (fun k ->
-                let freq = freqs.(start + k) in
-                Fmat.Cplx.load_ac_transposed ws ~g:gf ~c:cf ~omega:(2.0 *. Float.pi *. freq);
-                Fmat.Cplx.unit_rhs ws out_index;
-                Fmat.Cplx.factor ws;
-                Fmat.Cplx.solve ws y;
-                point_of y freq)))
+    let y = Array.make n Complex.zero in
+    Fmat.with_cplx n (fun ws ->
+        Array.map
+          (fun freq ->
+            Fmat.Cplx.load_ac_transposed ws ~g:gf ~c:cf ~omega:(2.0 *. Float.pi *. freq);
+            Fmat.Cplx.unit_rhs ws out_index;
+            Fmat.Cplx.factor ws;
+            Fmat.Cplx.solve ws y;
+            point_of y freq)
+          freqs)
   in
   let series = Array.map (fun p -> (p.freq, p.total_psd)) points in
   { points; integrated_rms = sqrt (integrate series) }

@@ -25,19 +25,15 @@ type result = {
 
 val analyze :
   ?tech:Mixsyn_circuit.Tech.t ->
-  ?jobs:int ->
-  ?chunk:int ->
   Mixsyn_circuit.Netlist.t ->
   Mna.op ->
   out:Mixsyn_circuit.Netlist.net ->
   freqs:float array ->
   result
-(** Frequency points evaluate concurrently on the {!Mixsyn_util.Pool}
-    ([jobs] defaults to [Pool.default_jobs ()]), each an in-place adjoint
-    factor/solve in a per-domain {!Mixsyn_util.Fmat} workspace against the
-    once-flattened [G]/[C] planes; workers claim contiguous frequency
-    bands of [chunk] points.  [points] is in frequency order regardless of
-    [jobs] and [chunk]. *)
+(** One in-place adjoint factor/solve per frequency point, all in one
+    {!Mixsyn_util.Fmat} workspace against the once-flattened [G]/[C]
+    planes.  The sweep runs inline on the calling domain; [points] is in
+    frequency order. *)
 
 val integrate : (float * float) array -> float
 (** Trapezoidal integration of a (frequency, PSD) series; returns the

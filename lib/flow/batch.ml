@@ -616,19 +616,18 @@ let run ?jobs ?timeout_s ?(retries = 0) ?(prefilter = true) ?(stage_cache = true
       (fun () ->
         if Array.length pending = 0 then [||]
         else
-          (* whole jobs are the unit of stealing ([chunk:1]): jobs differ in
-             cost by orders of magnitude, so claiming them one at a time is
-             what keeps every domain busy until the manifest drains — while
-             a worker's warm workspaces (Fmat pools, placer scratch) carry
-             over across the consecutive jobs it claims *)
-          Mixsyn_util.Pool.parallel_mapi ?jobs ~chunk:1
+          (* whole jobs are the unit of stealing: jobs differ in cost by
+             orders of magnitude, so claiming them one at a time is what
+             keeps every domain busy until the manifest drains — while a
+             worker's warm workspaces (Fmat pools, placer scratch) carry
+             over across the consecutive jobs it claims.  Each job runs as
+             a pool participant, so the flow inside runs inline. *)
+          Mixsyn_util.Pool.parallel_mapi ?jobs
             (fun i job ->
               let r =
                 match decisions.(i) with
                 | Some r -> r
-                | None ->
-                  Mixsyn_util.Pool.sequential_scope (fun () ->
-                      run_job ?timeout_s ~retries ~executor job)
+                | None -> run_job ?timeout_s ~retries ~executor job
               in
               (* serialize on the worker, off the writer lock *)
               journal_push w i r;

@@ -210,12 +210,12 @@ val run :
 (** Run a whole manifest against [journal].  Jobs already recorded are
     skipped; a truncated trailing line is cut before appending; the rest
     execute on up to [jobs] (default {!Mixsyn_util.Pool.default_jobs})
-    domains, each inside {!Mixsyn_util.Pool.sequential_scope} so the flows
-    inside do not contend for the pool.  Whole jobs are the unit of work
-    stealing (pool chunk 1): each domain claims one job at a time from the
-    shared queue, keeping its warm per-domain workspaces across the
-    consecutive jobs it claims and staying busy until the manifest drains
-    even when job costs differ by orders of magnitude.  Each worker
+    domains.  Each job is one pool item, so the flow inside it runs inline
+    rather than contending for the pool.  Whole jobs are the unit of work
+    stealing: each domain claims one job at a time from the shared queue,
+    keeping its warm per-domain workspaces across the consecutive jobs it
+    claims and staying busy until the manifest drains even when job costs
+    differ by orders of magnitude.  Each worker
     serializes its own records to canonical JSON off the writer lock; the
     writer only orders lines and appends them in manifest order, flushed
     as soon as contiguous, so an interruption at any point leaves a

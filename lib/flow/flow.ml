@@ -97,7 +97,7 @@ let size_stage ?(tech = Mixsyn_circuit.Tech.generic_07um)
     Mixsyn_util.Eval_cache.find_or_compute sizing_stage_cache key (fun _ -> compute ())
 
 let run ?(tech = Mixsyn_circuit.Tech.generic_07um) ?(seed = 13) ?(max_redesigns = 2)
-    ?(candidates = Mixsyn_circuit.Topology.all) ?(checks = true) ?(contract = true) ?jobs
+    ?(candidates = Mixsyn_circuit.Topology.all) ?(checks = true) ?(contract = true)
     ?(stage_cache = true) ~specs ~objectives ~context () =
   Mixsyn_util.Telemetry.with_span "flow.run" @@ fun () ->
   let log = ref [] in
@@ -238,38 +238,16 @@ let run ?(tech = Mixsyn_circuit.Tech.generic_07um) ?(seed = 13) ?(max_redesigns 
           let nl = template.Template.build tech sizing.Sizing.params in
           (* retry placement seeds until the router completes, keeping the
              best attempt seen (complete first, then minimum area) rather
-             than whatever the last retry produced.  With jobs > 1 all
-             retry seeds evaluate eagerly in parallel; the pick rule (first
-             complete in seed order, else the [better_layout] fold, which
-             ties to the earlier seed) reproduces the lazy loop's answer,
-             so the chosen layout never depends on [jobs]. *)
+             than whatever the last retry produced *)
           let base = seed + (7 * redesigns) in
           let retries = 3 in
-          let r =
-            if Mixsyn_util.Pool.effective_jobs jobs retries > 1 then begin
-              let reports =
-                Mixsyn_util.Pool.parallel_init ?jobs retries (fun k ->
-                    Mixsyn_layout.Cell_flow.koan ~seed:(base + k) ~jobs:1 nl)
-              in
-              match
-                Array.find_opt (fun r -> r.Mixsyn_layout.Cell_flow.complete) reports
-              with
-              | Some r -> r
-              | None ->
-                Array.fold_left better_layout reports.(0)
-                  (Array.sub reports 1 (retries - 1))
-            end
-            else begin
-              let rec best_layout k best =
-                if best.Mixsyn_layout.Cell_flow.complete || k >= retries then best
-                else
-                  best_layout (k + 1)
-                    (better_layout best
-                       (Mixsyn_layout.Cell_flow.koan ~seed:(base + k) ?jobs nl))
-              in
-              best_layout 1 (Mixsyn_layout.Cell_flow.koan ~seed:base ?jobs nl)
-            end
+          let rec best_layout k best =
+            if best.Mixsyn_layout.Cell_flow.complete || k >= retries then best
+            else
+              best_layout (k + 1)
+                (better_layout best (Mixsyn_layout.Cell_flow.koan ~seed:(base + k) nl))
           in
+          let r = best_layout 1 (Mixsyn_layout.Cell_flow.koan ~seed:base nl) in
           ( r,
             Printf.sprintf "area %.0f um2, %s" (r.Mixsyn_layout.Cell_flow.area_m2 *. 1e12)
               (if r.Mixsyn_layout.Cell_flow.complete then "routed" else "incomplete") ))

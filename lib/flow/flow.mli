@@ -75,7 +75,6 @@ val run :
   ?candidates:Mixsyn_circuit.Template.t list ->
   ?checks:bool ->
   ?contract:bool ->
-  ?jobs:int ->
   ?stage_cache:bool ->
   specs:Mixsyn_synth.Spec.t list ->
   objectives:Mixsyn_synth.Spec.objective list ->
@@ -88,9 +87,9 @@ val run :
     whose sizing inputs coincide reuse one result ([stage_cache:false]
     opts out; outcomes are bit-identical either way).
 
-    With [jobs > 1] (default {!Mixsyn_util.Pool.default_jobs}) the layout
-    placement retries evaluate concurrently on the shared domain pool; the
-    outcome depends only on [seed], never on [jobs].
+    Each layout pass tries up to 3 placement seeds in order and stops at
+    the first routed one; when none routes, the smallest-area attempt
+    wins, ties to the earlier seed.  The outcome depends only on [seed].
 
     Unless [checks] is [false], a static pre-flight gate runs first:
     {!Mixsyn_check.Bounds} certifies interval performance bounds over

@@ -7,8 +7,8 @@
      requests and manipulates the shared state under [lock] — it never
      executes synthesis work, so a slow client cannot stall a job;
    - [config.workers] dedicated domains pulling whole jobs from the
-     bounded queue, each inside [Pool.sequential_scope] exactly like a
-     batch worker.
+     bounded queue, each inside [Pool.sequential_scope] so the flow runs
+     inline, exactly like a batch job.
 
    The journal is the contract surface: every admitted job gets the next
    submission-order index and is eventually pushed through

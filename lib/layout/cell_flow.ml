@@ -160,7 +160,7 @@ let symmetric_net_pairs nets =
 
 let max_placement_attempts = 4
 
-let koan ?(seed = 23) ?(coupling_budgets = []) ?restarts ?jobs nl =
+let koan ?(seed = 23) ?(coupling_budgets = []) ?restarts nl =
   Mixsyn_util.Telemetry.with_span "layout.koan" @@ fun () ->
   let items, nets, symmetry = items_of_netlist nl in
   let nets =
@@ -177,48 +177,29 @@ let koan ?(seed = 23) ?(coupling_budgets = []) ?restarts ?jobs nl =
     Mixsyn_util.Telemetry.count "layout.placement_attempts";
     let placement =
       Mixsyn_util.Telemetry.with_span "layout.place" (fun () ->
-          Placer.place ~seed:(seed + (1000 * k)) ?restarts ~jobs:1 items symmetry)
+          Placer.place ~seed:(seed + (1000 * k)) ?restarts items symmetry)
     in
     Mixsyn_util.Telemetry.with_span "layout.route" (fun () ->
         finish ~flow_name:(Printf.sprintf "koan-seed%d" seed) ~items ~placement ~nets
           ~symmetric_pairs:(symmetric_net_pairs nets))
   in
-  (* the pick rule — first complete attempt in seed order, otherwise the
-     fewest failed nets with ties to the earliest seed — makes the eager
-     parallel evaluation below return exactly what the lazy early-exit
-     loop would, so the report never depends on [jobs] *)
-  let pick reports =
-    match Array.find_opt (fun r -> r.complete) reports with
-    | Some r -> r
-    | None ->
-      Array.fold_left
-        (fun best r ->
-          if List.length best.route.Maze_router.failed
-             <= List.length r.route.Maze_router.failed
-          then best
-          else r)
-        reports.(0)
-        (Array.sub reports 1 (Array.length reports - 1))
+  (* first complete attempt in seed order, otherwise the fewest failed
+     nets with ties to the earliest seed *)
+  let rec search k best =
+    if k >= max_placement_attempts then best
+    else begin
+      let r = attempt k in
+      if r.complete then r
+      else
+        search (k + 1)
+          (if List.length best.route.Maze_router.failed
+              <= List.length r.route.Maze_router.failed
+           then best
+           else r)
+    end
   in
-  if Mixsyn_util.Pool.effective_jobs jobs max_placement_attempts > 1 then
-    pick (Mixsyn_util.Pool.parallel_init ?jobs max_placement_attempts attempt)
-  else begin
-    let rec search k best =
-      if k >= max_placement_attempts then best
-      else begin
-        let r = attempt k in
-        if r.complete then r
-        else
-          search (k + 1)
-            (if List.length best.route.Maze_router.failed
-                <= List.length r.route.Maze_router.failed
-             then best
-             else r)
-      end
-    in
-    let first = attempt 0 in
-    if first.complete then first else search 1 first
-  end
+  let first = attempt 0 in
+  if first.complete then first else search 1 first
 
 let procedural ?(style = 0) nl =
   let items, nets, _symmetry = items_of_netlist nl in

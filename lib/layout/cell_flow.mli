@@ -28,15 +28,14 @@ val koan :
   ?seed:int ->
   ?coupling_budgets:(string * float) list ->
   ?restarts:int ->
-  ?jobs:int ->
   Mixsyn_circuit.Netlist.t ->
   report
 (** [coupling_budgets] activates ROAD-style parasitic-bounded routing for
     the named nets.  [restarts] (default 1) forwards to {!Placer.place} as
-    annealing multi-starts per placement attempt.  With [jobs > 1]
-    (default {!Mixsyn_util.Pool.default_jobs}) the up-to-4 placement
-    attempts evaluate concurrently on the shared domain pool; the report
-    depends only on [seed] and [restarts], never on [jobs]. *)
+    annealing multi-starts per placement attempt.  Up to 4 placement
+    attempts run in seed order and stop at the first one the router
+    completes; when none completes, the attempt with the fewest failed
+    nets wins, ties to the earliest seed. *)
 
 val procedural : ?style:int -> Mixsyn_circuit.Netlist.t -> report
 (** [style] in 0..3 selects one of four fixed row recipes. *)

@@ -97,9 +97,8 @@ let minimize_multistart ?schedule ?jobs ~restarts ~rng problem =
     Mixsyn_util.Telemetry.count "anneal.multistarts";
     let rngs = Mixsyn_util.Rng.split_n rng restarts in
     let outcomes =
-      (* a whole chain is the unit of work: chains are few and expensive,
-         so band them one per worker claim *)
-      Mixsyn_util.Pool.parallel_map ?jobs ~chunk:1
+      (* a whole chain is the unit of work *)
+      Mixsyn_util.Pool.parallel_map ?jobs
         (fun rng -> minimize ?schedule ~rng problem)
         rngs
     in
@@ -186,7 +185,7 @@ let minimize_moves ?(schedule = default_schedule) ~rng (m : 's moves) =
     stages = !stages }
 
 (* same determinism contract as [minimize_multistart]: per-chain split RNG
-   streams, chunk 1, best-of reduction in restart order with strict [<] —
+   streams, best-of reduction in restart order with strict [<] —
    the outcome is a function of [rng] and [restarts] alone, never [jobs].
    Each chain calls [m.create] on its own domain, so chains share nothing
    mutable. *)
@@ -198,7 +197,7 @@ let minimize_moves_multistart ?schedule ?jobs ~restarts ~rng (m : 's moves) =
     Mixsyn_util.Telemetry.count "anneal.multistarts";
     let rngs = Mixsyn_util.Rng.split_n rng restarts in
     let outcomes =
-      Mixsyn_util.Pool.parallel_map ?jobs ~chunk:1
+      Mixsyn_util.Pool.parallel_map ?jobs
         (fun rng -> minimize_moves ?schedule ~rng m)
         rngs
     in

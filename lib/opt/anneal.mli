@@ -53,12 +53,12 @@ val minimize_multistart :
   'a outcome
 (** [restarts] independent chains, each on its own {!Mixsyn_util.Rng.split_n}
     stream, evaluated concurrently on the {!Mixsyn_util.Pool} ([jobs]
-    defaults to [Pool.default_jobs ()]); chains are few and expensive, so
-    each is claimed as its own unit of work ([chunk = 1]).  Returns the lowest-cost chain's
-    best (ties to the lowest restart index) with move statistics summed
-    over all chains; the outcome depends only on [rng] and [restarts],
-    never on [jobs].  [restarts = 1] is exactly [minimize ~rng] — the
-    single chain consumes [rng] directly, without splitting.
+    defaults to [Pool.default_jobs ()]), each claimed as its own unit of
+    work.  Returns the lowest-cost chain's best (ties to the lowest restart
+    index) with move statistics summed over all chains; the outcome
+    depends only on [rng] and [restarts], never on [jobs].
+    [restarts = 1] is exactly [minimize ~rng] — the single chain consumes
+    [rng] directly, without splitting.
     @raise Invalid_argument when [restarts < 1] or the schedule is
     divergent. *)
 
@@ -107,7 +107,7 @@ val minimize_moves_multistart :
   's moves ->
   's outcome
 (** Independent chains on the pool, one {!moves.create}d state per chain
-    (nothing mutable is shared), with the same split-stream/chunk-1/
+    (nothing mutable is shared), with the same split-stream/
     restart-order reduction as {!minimize_multistart} — the outcome
     depends only on [rng] and [restarts], never on [jobs].
     @raise Invalid_argument when [restarts < 1] or the schedule is

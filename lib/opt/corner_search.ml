@@ -17,10 +17,6 @@ let corner_of_point name = function
   | [| d_vdd; d_temp; d_vth; d_kp |] -> { Tech.corner_name = name; d_vdd; d_temp; d_vth; d_kp }
   | _ -> invalid_arg "corner_of_point: expected 4 coordinates"
 
-(* a 17-vertex sweep over a cheap violation function finishes in a few
-   milliseconds — let the pool skip the fan-out when it learns that *)
-let sweep_grain = Mixsyn_util.Pool.grain "corner.sweep"
-
 let worst_corner ?(box = default_box) ?(refine = true) ?jobs ~violation () =
   (* the 2^4 vertices plus the centre *)
   let lo = [| fst box.vdd_rel; fst box.temp_delta; fst box.vth_shift; fst box.kp_rel |] in
@@ -35,7 +31,7 @@ let worst_corner ?(box = default_box) ?(refine = true) ?jobs ~violation () =
      in vertex order with a strict [>], so the chosen vertex is the same at
      any job count *)
   let values =
-    Mixsyn_util.Pool.parallel_map ?jobs ~grain:sweep_grain
+    Mixsyn_util.Pool.parallel_map ?jobs
       (fun point -> violation (corner_of_point "search" point))
       vertices
   in

@@ -6,9 +6,10 @@
    paths running on many domains at once — 48 batch jobs all counting DC
    iterations — only ever lock their own shard; readers merge every shard
    on demand.  Span mutation still happens under one mutex (span trees are
-   read-heavy and cold), and the span *stack* is domain-local, so a worker
-   domain opening a span attaches it under the root (its own nesting
-   context) instead of corrupting the caller's.  The clock is
+   read-heavy and cold), and the span *stack* is domain-local; a pool
+   helper adopts the caller's stack for the duration of its task
+   ([with_context]), so its spans nest under the caller's open span
+   instead of forming extra roots.  The clock is
    [Unix.gettimeofday], so span durations are wall seconds — the quantity
    that parallel speedups actually change. *)
 
@@ -32,7 +33,7 @@ let make_node name = { n_name = name; n_calls = 0; n_seconds = 0.0; n_children =
 
 let root = make_node "<root>"
 
-(* per-domain nesting context: worker domains start at the root *)
+(* per-domain nesting context: a fresh domain starts at the root *)
 let stack : node list Domain.DLS.key = Domain.DLS.new_key (fun () -> [])
 
 let registry_lock = Mutex.create ()
@@ -134,6 +135,15 @@ let with_span name f =
       | n :: rest when n == node -> Domain.DLS.set stack rest
       | _ -> ())
     f
+
+type context = node list
+
+let context () = Domain.DLS.get stack
+
+let with_context ctx f =
+  let prev = Domain.DLS.get stack in
+  Domain.DLS.set stack ctx;
+  Fun.protect ~finally:(fun () -> Domain.DLS.set stack prev) f
 
 let rec freeze n =
   { span_name = n.n_name;

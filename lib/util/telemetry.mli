@@ -15,8 +15,9 @@
     hot loop counting from many {!Pool} workers at once only ever locks
     its own domain's shard (no cross-domain contention on the write path);
     span updates are serialized behind one mutex, and the span nesting
-    context is domain-local, so worker spans attach under the root, not
-    under the caller's open span. *)
+    context is domain-local; {!Pool} hands each helper task the caller's
+    context, so spans opened on a helper nest under the caller's open
+    span. *)
 
 type span = {
   span_name : string;
@@ -60,6 +61,17 @@ val with_span : string -> (unit -> 'a) -> 'a
     attach as children, repeated calls at the same position accumulate
     [calls]/[seconds] into one node.  Exception-safe: the span closes on
     raise and the exception propagates. *)
+
+type context
+(** A domain's stack of open spans. *)
+
+val context : unit -> context
+(** The calling domain's open spans. *)
+
+val with_context : context -> (unit -> 'a) -> 'a
+(** [with_context ctx f] runs [f] with [ctx] as this domain's open spans,
+    so spans [f] opens attach under the innermost span of [ctx]; the
+    domain's own stack is restored afterwards, also on raise. *)
 
 val spans : unit -> span list
 (** Snapshot of the span forest. *)

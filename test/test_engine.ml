@@ -177,14 +177,14 @@ let test_ac_sweep_endpoint () =
 
 let test_ac_flat_matches_boxed () =
   (* the flat per-domain kernel must reproduce the boxed Matrix.Cplx path
-     bit-for-bit on real amplifier systems, at any job count *)
+     bit-for-bit on real amplifier systems *)
   let module Cplx = Mixsyn_util.Matrix.Cplx in
   List.iter
     (fun t ->
       let nl = t.Mixsyn_circuit.Template.build tech (Mixsyn_circuit.Template.midpoint t) in
       let op = Dc.solve ~tech nl in
       let freqs = Ac.log_sweep ~decades_from:0.0 ~decades_to:9.0 ~points_per_decade:4 in
-      let ac = Ac.solve ~tech ~jobs:4 nl op ~freqs in
+      let ac = Ac.solve ~tech nl op ~freqs in
       let g, c, b = Ac.build_system tech nl op in
       let n = Array.length b in
       Array.iteri
@@ -506,6 +506,76 @@ let test_noise_ktc () =
   check_close ~eps:0.05 "kT/C at 10k" expected (total 1e4);
   check_close ~eps:0.05 "kT/C at 1M" expected (total 1e6)
 
+let test_noise_flat_matches_boxed () =
+  (* the adjoint sweep in one flat workspace must reproduce a boxed
+     Matrix.Cplx solve of the transposed system bit-for-bit: every
+     contribution, every total and the integrated noise *)
+  let module Cplx = Mixsyn_util.Matrix.Cplx in
+  List.iter
+    (fun t ->
+      let nl = t.Mixsyn_circuit.Template.build tech (Mixsyn_circuit.Template.midpoint t) in
+      let op = Dc.solve ~tech nl in
+      let out = N.find_net nl "out" in
+      let freqs = Ac.log_sweep ~decades_from:0.0 ~decades_to:9.0 ~points_per_decade:4 in
+      let got = Noise.analyze ~tech nl op ~out ~freqs in
+      let g, c, _ = Ac.build_system tech nl op in
+      let n = Array.length g in
+      let e_out =
+        Array.init n (fun i ->
+            if i = Mna.node_index out then { Complex.re = 1.0; im = 0.0 } else Complex.zero)
+      in
+      let sources =
+        List.filter_map
+          (function
+            | N.Resistor { r_name; a; b; ohms } ->
+              let psd _f = 4.0 *. Mixsyn_util.Units.boltzmann *. tech.Tech.temp /. ohms in
+              Some (r_name, `Thermal, a, b, psd)
+            | N.Mos _ | N.Capacitor _ | N.Vsource _ | N.Isource _ | N.Vccs _ -> None)
+          (N.elements nl)
+        @ List.concat_map
+            (fun ((m : N.mos), (e : Mos.eval)) ->
+              let gm = Float.abs e.Mos.gm in
+              [ (m.N.m_name, `Thermal, m.N.drain, m.N.source,
+                 fun _f -> Mos.thermal_noise_psd tech ~gm);
+                (m.N.m_name, `Flicker, m.N.drain, m.N.source,
+                 fun f -> Mos.flicker_noise_psd tech m ~gm ~freq:f) ])
+            op.Mna.mos_evals
+      in
+      let expected =
+        Array.map
+          (fun freq ->
+            let omega = 2.0 *. Float.pi *. freq in
+            let at =
+              Array.init n (fun i ->
+                  Array.init n (fun j -> { Complex.re = g.(j).(i); im = omega *. c.(j).(i) }))
+            in
+            let y = Cplx.solve at e_out in
+            let v net = if net = N.gnd then Complex.zero else y.(Mna.node_index net) in
+            let contributions =
+              List.map
+                (fun (source_name, kind, a, b, psd_fn) ->
+                  let h = Complex.norm (Complex.sub (v a) (v b)) in
+                  { Noise.source_name; kind; psd = h *. h *. psd_fn freq })
+                sources
+            in
+            let total_psd =
+              List.fold_left (fun acc (k : Noise.contribution) -> acc +. k.Noise.psd) 0.0
+                contributions
+            in
+            { Noise.freq; total_psd; contributions })
+          freqs
+      in
+      Array.iteri
+        (fun k (p : Noise.point) ->
+          if p <> got.Noise.points.(k) then
+            Alcotest.failf "%s: noise point %d differs" t.Mixsyn_circuit.Template.t_name k)
+        expected;
+      let series = Array.map (fun (p : Noise.point) -> (p.Noise.freq, p.Noise.total_psd)) expected in
+      let rms = sqrt (Noise.integrate series) in
+      if rms <> got.Noise.integrated_rms then
+        Alcotest.failf "%s: integrated noise differs" t.Mixsyn_circuit.Template.t_name)
+    [ Mixsyn_circuit.Topology.ota_5t; Mixsyn_circuit.Topology.miller_ota ]
+
 let test_noise_flicker_corner () =
   (* flicker PSD falls as 1/f *)
   let m = nmos 10e-6 1e-6 in
@@ -654,7 +724,8 @@ let () =
       ( "noise",
         [ Alcotest.test_case "4kTR floor" `Quick test_noise_resistor_4ktr;
           Alcotest.test_case "kT/C invariant" `Quick test_noise_ktc;
-          Alcotest.test_case "flicker 1/f" `Quick test_noise_flicker_corner ] );
+          Alcotest.test_case "flicker 1/f" `Quick test_noise_flicker_corner;
+          Alcotest.test_case "flat kernel matches boxed" `Quick test_noise_flat_matches_boxed ] );
       ( "cross-analysis",
         [ QCheck_alcotest.to_alcotest prop_ac_dc_consistency;
           QCheck_alcotest.to_alcotest prop_transient_settles_to_dc ] );

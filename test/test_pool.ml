@@ -1,6 +1,7 @@
 (* Domain-pool tests: the determinism contract (results independent of the
-   job count), exception propagation, nesting, RNG stream independence, and
-   sequential-vs-parallel equality on every loop wired to the pool. *)
+   job count), exception propagation, the single level of parallelism, RNG
+   stream independence, and sequential-vs-parallel equality on every loop
+   wired to the pool. *)
 
 module Pool = Mixsyn_util.Pool
 module Rng = Mixsyn_util.Rng
@@ -36,53 +37,17 @@ let test_map_edge_cases () =
   (match Pool.parallel_init ~jobs:2 (-1) (fun i -> i) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "parallel_init (-1) must raise");
-  Alcotest.(check (list int)) "map_list" [ 2; 3; 4 ]
-    (Pool.parallel_map_list ~jobs:4 succ [ 1; 2; 3 ])
-
-let test_chunk_granularity () =
-  (* the band size is a scheduling knob only: any chunk yields the
-     sequential answer, in order *)
-  let input = Array.init 257 (fun i -> i) in
-  let f x = (x * 7) - 1 in
-  let expected = Array.map f input in
-  List.iter
-    (fun (jobs, chunk) ->
-      let got = Pool.parallel_map ~jobs ~chunk f input in
-      if got <> expected then
-        Alcotest.failf "parallel_map mismatch at jobs=%d chunk=%d" jobs chunk)
-    [ (1, 1); (4, 1); (4, 7); (4, 64); (4, 10_000); (64, 3) ];
-  (* non-commutative reduce: index order must survive any banding *)
-  let strings = Array.init 100 (fun i -> i) in
-  let seq = String.concat "" (List.map string_of_int (Array.to_list strings)) in
-  List.iter
-    (fun chunk ->
-      Alcotest.(check string) (Printf.sprintf "reduce chunk=%d" chunk) seq
-        (Pool.parallel_reduce ~jobs:4 ~chunk ~map:string_of_int ~combine:( ^ ) ~init:""
-           strings))
-    [ 1; 13; 1000 ];
-  Alcotest.(check (array int)) "init with chunk" [| 0; 1; 4; 9 |]
-    (Pool.parallel_init ~jobs:3 ~chunk:2 4 (fun i -> i * i));
-  Alcotest.(check (list int)) "map_list with chunk" [ 2; 3; 4 ]
-    (Pool.parallel_map_list ~jobs:4 ~chunk:1 succ [ 1; 2; 3 ]);
-  (* a non-positive chunk is rejected on every path, including the
-     sequential jobs=1 short cut *)
-  List.iter
-    (fun (jobs, chunk) ->
-      match Pool.parallel_map ~jobs ~chunk (fun x -> x) [| 1; 2 |] with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.failf "chunk=%d at jobs=%d must raise" chunk jobs)
-    [ (4, 0); (4, -3); (1, 0) ]
+  Alcotest.(check (array int)) "fewer items than jobs" [| 2; 3; 4 |]
+    (Pool.parallel_map ~jobs:4 succ [| 1; 2; 3 |])
 
 let test_reduce_index_order () =
-  (* string concatenation is non-commutative: only an index-ordered
-     reduction gives the sequential answer *)
+  (* string concatenation is non-commutative: only results in index order
+     fold to the sequential answer *)
   let input = Array.init 100 (fun i -> i) in
   let expected = String.concat "" (List.map string_of_int (Array.to_list input)) in
   List.iter
     (fun jobs ->
-      let got =
-        Pool.parallel_reduce ~jobs ~map:string_of_int ~combine:( ^ ) ~init:"" input
-      in
+      let got = Array.fold_left ( ^ ) "" (Pool.parallel_map ~jobs string_of_int input) in
       Alcotest.(check string) (Printf.sprintf "reduce jobs=%d" jobs) expected got)
     [ 1; 3; 64 ]
 
@@ -109,6 +74,24 @@ let test_nested_calls () =
   in
   let expected = Array.init 8 (fun i -> (100 * i) + 45) in
   Alcotest.(check (array int)) "nested" expected outer
+
+let test_single_level () =
+  (* every item is a pool participant, on the calling domain as on the
+     helpers: only the outer call fans out *)
+  Mixsyn_util.Telemetry.reset ();
+  let outer =
+    Pool.parallel_init ~jobs:2 6 (fun i ->
+        Array.fold_left ( + ) 0 (Pool.parallel_init ~jobs:2 4 (fun j -> (i * 4) + j)))
+  in
+  Alcotest.(check (array int)) "results" (Array.init 6 (fun i -> (16 * i) + 6)) outer;
+  Alcotest.(check int) "one parallel run" 1
+    (Mixsyn_util.Telemetry.counter "pool.parallel_runs");
+  (* at jobs = 1 the items are participants too *)
+  Mixsyn_util.Telemetry.reset ();
+  ignore
+    (Pool.parallel_init ~jobs:1 3 (fun _ -> Pool.parallel_init ~jobs:2 4 Fun.id));
+  Alcotest.(check int) "inline under jobs = 1" 0
+    (Mixsyn_util.Telemetry.counter "pool.parallel_runs")
 
 let test_default_jobs_override () =
   let before = Pool.default_jobs () in
@@ -151,17 +134,16 @@ let test_jobs_validation () =
     [ 0; -3 ]
 
 let test_float_results_unboxed_sound () =
-  (* results assemble into a flat float array (no option boxing); every
-     element must read back exactly, at any jobs/chunk *)
+  (* results assemble into a flat float array; every element must read
+     back exactly, at any job count *)
   let input = Array.init 301 (fun i -> float_of_int i) in
   let f x = (x *. 1.5) -. 0.25 in
   let expected = Array.map f input in
   List.iter
-    (fun (jobs, chunk) ->
-      let got = Pool.parallel_map ~jobs ~chunk f input in
-      if got <> expected then
-        Alcotest.failf "float parallel_map mismatch at jobs=%d chunk=%d" jobs chunk)
-    [ (1, 1); (2, 1); (4, 7); (4, 1000) ];
+    (fun jobs ->
+      let got = Pool.parallel_map ~jobs f input in
+      if got <> expected then Alcotest.failf "float parallel_map mismatch at jobs=%d" jobs)
+    [ 1; 2; 4 ];
   (* failure at index 0 exercises the no-successful-piece path *)
   (match
      Pool.parallel_map ~jobs:4 (fun x -> if x = 0.0 then raise (Boom 0) else x) input
@@ -169,98 +151,6 @@ let test_float_results_unboxed_sound () =
   | _ -> Alcotest.fail "expected Boom"
   | exception Boom 0 -> ()
   | exception Boom i -> Alcotest.failf "wrong index %d" i)
-
-let test_grain_fallback () =
-  (* an absurdly high work threshold: after the first (timed) call the
-     learned estimate sends later calls down the sequential path, with
-     identical results either way *)
-  let g = Pool.grain ~min_work_s:1e9 "test.tiny" in
-  Alcotest.(check bool) "estimate starts empty" true (Pool.grain_estimate g = None);
-  let input = Array.init 64 (fun i -> i) in
-  let expected = Array.map succ input in
-  let first = Pool.parallel_map ~jobs:4 ~grain:g succ input in
-  Alcotest.(check (array int)) "first call" expected first;
-  (match Pool.grain_estimate g with
-  | Some est -> if est < 0.0 then Alcotest.failf "negative estimate %g" est
-  | None -> Alcotest.fail "no estimate learned");
-  Mixsyn_util.Telemetry.reset ();
-  let second = Pool.parallel_map ~jobs:4 ~grain:g succ input in
-  Alcotest.(check (array int)) "second call" expected second;
-  if Mixsyn_util.Telemetry.counter "pool.grain_fallbacks" < 1 then
-    Alcotest.fail "tiny workload was not routed sequentially";
-  (* a zero threshold never falls back *)
-  let eager = Pool.grain ~min_work_s:0.0 "test.eager" in
-  ignore (Pool.parallel_map ~jobs:4 ~grain:eager succ input);
-  Mixsyn_util.Telemetry.reset ();
-  ignore (Pool.parallel_map ~jobs:4 ~grain:eager succ input);
-  Alcotest.(check int) "no fallback at zero threshold" 0
-    (Mixsyn_util.Telemetry.counter "pool.grain_fallbacks")
-
-let test_banded_matches_sequential () =
-  (* parallel_banded must agree with a plain index map at any jobs/band
-     size, including bands that don't divide n *)
-  let n = 257 in
-  let expected = Array.init n (fun i -> (i * 3) + 1 ) in
-  let f start len = Array.init len (fun k -> ((start + k) * 3) + 1) in
-  List.iter
-    (fun (jobs, chunk) ->
-      let got = Pool.parallel_banded ~jobs ?chunk n f in
-      if got <> expected then
-        Alcotest.failf "parallel_banded mismatch at jobs=%d chunk=%s" jobs
-          (match chunk with Some c -> string_of_int c | None -> "auto"))
-    [ (1, None); (4, None); (4, Some 1); (4, Some 7); (4, Some 64); (4, Some 10_000);
-      (64, Some 3) ];
-  Alcotest.(check (array int)) "empty" [||] (Pool.parallel_banded ~jobs:4 0 f);
-  (* a band returning the wrong number of results is a caller bug *)
-  (match Pool.parallel_banded ~jobs:4 ~chunk:8 16 (fun _ len -> Array.make (len + 1) 0) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "wrong band length must raise");
-  (match Pool.parallel_banded ~jobs:2 (-1) f with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "negative n must raise");
-  (* exception determinism at band granularity: the smallest failing band
-     wins whatever the scheduling *)
-  for _ = 1 to 5 do
-    match
-      Pool.parallel_banded ~jobs:4 ~chunk:10 200 (fun start len ->
-          if start + len > 50 then raise (Boom start) else Array.make len 0)
-    with
-    | _ -> Alcotest.fail "expected Boom"
-    | exception Boom i -> Alcotest.(check int) "min failing band" 50 i
-  done
-
-let test_small_sweep_fallback () =
-  (* the ac-sweep 0.52x regression: a sub-threshold sweep must take the
-     sequential path once the grain has a seconds-per-item estimate,
-     instead of paying domain fan-out for microseconds of work *)
-  let nl = Top.miller_ota.Tp.build tech (Tp.midpoint Top.miller_ota) in
-  let op = Mixsyn_engine.Dc.solve ~tech nl in
-  let freqs =
-    Mixsyn_engine.Ac.log_sweep ~decades_from:0.0 ~decades_to:8.0 ~points_per_decade:5
-  in
-  (* first call may probe in parallel; it teaches the grain the per-item cost *)
-  let first = Mixsyn_engine.Ac.solve ~tech ~jobs:4 nl op ~freqs in
-  Mixsyn_util.Telemetry.reset ();
-  let second = Mixsyn_engine.Ac.solve ~tech ~jobs:4 nl op ~freqs in
-  if first.Mixsyn_engine.Ac.solutions <> second.Mixsyn_engine.Ac.solutions then
-    Alcotest.fail "fallback changed the sweep's results";
-  if Mixsyn_util.Telemetry.counter "pool.grain_fallbacks" < 1 then
-    Alcotest.fail "a 41-point sweep was not routed down the sequential path"
-
-let test_worker_minor_heap_knob () =
-  let before = Pool.worker_minor_heap_words () in
-  Pool.set_worker_minor_heap_words (1 lsl 20);
-  Alcotest.(check int) "roundtrip" (1 lsl 20) (Pool.worker_minor_heap_words ());
-  List.iter
-    (fun n ->
-      match Pool.set_worker_minor_heap_words n with
-      | exception Invalid_argument _ -> ()
-      | () -> Alcotest.failf "minor heap of %d words accepted" n)
-    [ 0; -1; 1 lsl 10 ];
-  Pool.set_worker_minor_heap_words before;
-  (* workers spawned with the configured heap still compute correctly *)
-  Alcotest.(check (array int)) "pool functional" [| 1; 2; 3; 4 |]
-    (Pool.parallel_init ~jobs:4 4 (fun i -> i + 1))
 
 let test_sequential_scope () =
   (* inside the scope, parallel calls degrade to sequential (the calling
@@ -350,35 +240,21 @@ let test_genetic_jobs_invariant () =
   let a = run 1 and b = run 3 in
   if a <> b then Alcotest.fail "GA result differs between jobs=1 and jobs=3"
 
-let test_sweeps_jobs_invariant () =
+let test_koan_attempts () =
+  (* placement attempts run in seed order and stop at the first routed
+     one: the Miller OTA midpoint at seed 23 routes on its second attempt.
+     Run as pool items (inline, on either domain) the report is the same. *)
   let nl = Top.miller_ota.Tp.build tech (Tp.midpoint Top.miller_ota) in
-  let op = Mixsyn_engine.Dc.solve ~tech nl in
-  let freqs =
-    Mixsyn_engine.Ac.log_sweep ~decades_from:0.0 ~decades_to:9.0 ~points_per_decade:7
+  Mixsyn_util.Telemetry.reset ();
+  let r = Mixsyn_layout.Cell_flow.koan ~seed:23 nl in
+  Alcotest.(check bool) "routed" true r.Mixsyn_layout.Cell_flow.complete;
+  Alcotest.(check int) "stops at the first routed attempt" 2
+    (Mixsyn_util.Telemetry.counter "layout.placement_attempts");
+  let as_items =
+    Pool.parallel_init ~jobs:2 2 (fun _ -> Mixsyn_layout.Cell_flow.koan ~seed:23 nl)
   in
-  let ac1 = Mixsyn_engine.Ac.solve ~tech ~jobs:1 nl op ~freqs in
-  let ac4 = Mixsyn_engine.Ac.solve ~tech ~jobs:4 nl op ~freqs in
-  if ac1.Mixsyn_engine.Ac.solutions <> ac4.Mixsyn_engine.Ac.solutions then
-    Alcotest.fail "AC solutions differ between jobs=1 and jobs=4";
-  (* nor may the band size change anything *)
-  List.iter
-    (fun chunk ->
-      let ac = Mixsyn_engine.Ac.solve ~tech ~jobs:4 ~chunk nl op ~freqs in
-      if ac.Mixsyn_engine.Ac.solutions <> ac1.Mixsyn_engine.Ac.solutions then
-        Alcotest.failf "AC solutions differ at chunk=%d" chunk)
-    [ 1; 5; 1000 ];
-  let out = Mixsyn_circuit.Netlist.find_net nl "out" in
-  let n1 = Mixsyn_engine.Noise.analyze ~tech ~jobs:1 nl op ~out ~freqs in
-  let n4 = Mixsyn_engine.Noise.analyze ~tech ~jobs:4 nl op ~out ~freqs in
-  if n1 <> n4 then Alcotest.fail "noise analysis differs between jobs=1 and jobs=4"
-
-let test_koan_jobs_invariant () =
-  (* the eager parallel placement-attempt evaluation must reproduce the
-     lazy loop's report exactly *)
-  let nl = Top.ota_5t.Tp.build tech (Tp.midpoint Top.ota_5t) in
-  let r1 = Mixsyn_layout.Cell_flow.koan ~seed:23 ~jobs:1 nl in
-  let r4 = Mixsyn_layout.Cell_flow.koan ~seed:23 ~jobs:4 nl in
-  if r1 <> r4 then Alcotest.fail "koan report differs between jobs=1 and jobs=4"
+  if Array.exists (fun x -> x <> r) as_items then
+    Alcotest.fail "koan report differs when run as a pool item"
 
 (* --- branch-index hashtable -------------------------------------------- *)
 
@@ -401,17 +277,13 @@ let () =
     [ ( "core",
         [ Alcotest.test_case "map matches sequential" `Quick test_map_matches_sequential;
           Alcotest.test_case "map edge cases" `Quick test_map_edge_cases;
-          Alcotest.test_case "chunk granularity" `Quick test_chunk_granularity;
           Alcotest.test_case "reduce in index order" `Quick test_reduce_index_order;
           Alcotest.test_case "min-index exception" `Quick test_exception_propagation;
           Alcotest.test_case "nested calls" `Quick test_nested_calls;
+          Alcotest.test_case "single level" `Quick test_single_level;
           Alcotest.test_case "default-jobs override" `Quick test_default_jobs_override;
           Alcotest.test_case "jobs validation" `Quick test_jobs_validation;
           Alcotest.test_case "float results unboxed" `Quick test_float_results_unboxed_sound;
-          Alcotest.test_case "grain fallback" `Quick test_grain_fallback;
-          Alcotest.test_case "banded map" `Quick test_banded_matches_sequential;
-          Alcotest.test_case "small sweep falls back" `Quick test_small_sweep_fallback;
-          Alcotest.test_case "worker minor-heap knob" `Quick test_worker_minor_heap_knob;
           Alcotest.test_case "sequential scope" `Quick test_sequential_scope ] );
       ( "rng",
         [ Alcotest.test_case "split_n streams" `Quick test_split_n_streams ] );
@@ -419,7 +291,6 @@ let () =
         [ Alcotest.test_case "corner search" `Quick test_corner_search_jobs_invariant;
           Alcotest.test_case "anneal multistart" `Quick test_multistart_jobs_invariant;
           Alcotest.test_case "genetic fitness" `Quick test_genetic_jobs_invariant;
-          Alcotest.test_case "ac + noise sweeps" `Quick test_sweeps_jobs_invariant;
-          Alcotest.test_case "koan attempts" `Slow test_koan_jobs_invariant ] );
+          Alcotest.test_case "koan attempts" `Slow test_koan_attempts ] );
       ( "mna",
         [ Alcotest.test_case "branch index table" `Quick test_branch_index_table ] ) ]

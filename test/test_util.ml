@@ -451,7 +451,7 @@ let test_telemetry_counters_merge_across_domains () =
     (fun jobs ->
       T.reset ();
       ignore
-        (Mixsyn_util.Pool.parallel_init ~jobs ~chunk:1 40 (fun i ->
+        (Mixsyn_util.Pool.parallel_init ~jobs 40 (fun i ->
              T.count "shard.hits";
              T.add "shard.bytes" i;
              i));
@@ -492,6 +492,25 @@ let test_telemetry_spans_nest_and_accumulate () =
    | l -> Alcotest.failf "expected one root span, got %d" (List.length l));
   Alcotest.(check int) "span_calls sums the forest" 2 (T.span_calls "inner");
   if T.span_seconds "outer" < 0.0 then Alcotest.fail "negative span time"
+
+let test_telemetry_spans_on_pool_helpers () =
+  (* a helper task inherits the caller's open span: spans its items open
+     nest under it instead of forming extra roots *)
+  T.reset ();
+  T.with_span "outer" (fun () ->
+      ignore
+        (Mixsyn_util.Pool.parallel_init ~jobs:2 8 (fun i ->
+             T.with_span "inner" (fun () -> i))));
+  (match T.spans () with
+   | [ o ] ->
+     Alcotest.(check string) "root name" "outer" o.T.span_name;
+     (match o.T.children with
+      | [ i ] ->
+        Alcotest.(check string) "child name" "inner" i.T.span_name;
+        Alcotest.(check int) "every item under outer" 8 i.T.calls
+      | l -> Alcotest.failf "expected one child span, got %d" (List.length l))
+   | l -> Alcotest.failf "expected one root span, got %d" (List.length l));
+  T.reset ()
 
 let test_telemetry_span_exception_safe () =
   T.reset ();
@@ -894,6 +913,7 @@ let () =
           Alcotest.test_case "counters merge across domains" `Quick
             test_telemetry_counters_merge_across_domains;
           Alcotest.test_case "spans nest" `Quick test_telemetry_spans_nest_and_accumulate;
+          Alcotest.test_case "spans on pool helpers" `Quick test_telemetry_spans_on_pool_helpers;
           Alcotest.test_case "exception safety" `Quick test_telemetry_span_exception_safe;
           Alcotest.test_case "report and json" `Quick test_telemetry_report_and_json;
           Alcotest.test_case "rollup" `Quick test_telemetry_rollup ] );
