@@ -98,70 +98,48 @@ let determinant matrix =
     det 0 ((1 lsl n) - 1)
   end
 
-let transfer nl ~out =
+let cramer_matrices nl ~out =
   let layout, a, b = build_symbolic nl in
   let j = Mna.node_index out in
   assert (j >= 0 && j < layout.Mna.size);
+  (a, Array.mapi (fun i row -> Array.mapi (fun k e -> if k = j then b.(i) else e) row) a)
+
+let transfer nl ~out =
+  Mixsyn_util.Telemetry.with_span "symbolic.transfer" @@ fun () ->
+  let a, a_out = cramer_matrices nl ~out in
   let den = determinant a in
-  let a_substituted =
-    Array.mapi (fun i row -> Array.mapi (fun k e -> if k = j then b.(i) else e) row) a
-  in
-  let num = determinant a_substituted in
+  let num = determinant a_out in
   { num; den }
 
-let valuation ?(tech = Mixsyn_circuit.Tech.generic_07um) nl op name =
-  match String.index_opt name '_' with
-  | None -> raise Not_found
-  | Some i ->
-    let kind = String.sub name 0 i in
-    let dev = String.sub name (i + 1) (String.length name - i - 1) in
-    let find_mos () =
-      let rec search = function
-        | [] -> raise Not_found
-        | ((m : Netlist.mos), e) :: rest ->
-          if m.Netlist.m_name = dev then (m, e) else search rest
-      in
-      search op.Mna.mos_evals
-    in
-    let find_element pred =
-      let rec search = function
-        | [] -> raise Not_found
-        | e :: rest -> (match pred e with Some v -> v | None -> search rest)
-      in
-      search (Netlist.elements nl)
-    in
-    (match kind with
-     | "gm" ->
-       (* VCCS or MOS *)
-       (try
-          let _, e = find_mos () in
-          Float.abs e.Mos_model.gm
-        with Not_found ->
-          find_element (function
-            | Netlist.Vccs { g_name; gm; _ } when g_name = dev -> Some gm
-            | Netlist.Vccs _ | Netlist.Mos _ | Netlist.Resistor _ | Netlist.Capacitor _
-            | Netlist.Vsource _ | Netlist.Isource _ -> None))
-     | "gds" -> let _, e = find_mos () in Float.abs e.Mos_model.gds
-     | "gmb" -> let _, e = find_mos () in Float.abs e.Mos_model.gmb
-     | "g" ->
-       find_element (function
-         | Netlist.Resistor { r_name; ohms; _ } when r_name = dev -> Some (1.0 /. ohms)
-         | Netlist.Resistor _ | Netlist.Vccs _ | Netlist.Mos _ | Netlist.Capacitor _
-         | Netlist.Vsource _ | Netlist.Isource _ -> None)
-     | "c" ->
-       find_element (function
-         | Netlist.Capacitor { c_name; farads; _ } when c_name = dev -> Some farads
-         | Netlist.Capacitor _ | Netlist.Resistor _ | Netlist.Vccs _ | Netlist.Mos _
-         | Netlist.Vsource _ | Netlist.Isource _ -> None)
-     | "cgs" | "cgd" | "cdb" | "csb" ->
-       let m, e = find_mos () in
-       let caps = Mos_model.capacitances tech m e.Mos_model.region in
-       (match kind with
-        | "cgs" -> caps.Mos_model.cgs
-        | "cgd" -> caps.Mos_model.cgd
-        | "cdb" -> caps.Mos_model.cdb
-        | _ -> caps.Mos_model.csb)
-     | _ -> raise Not_found)
+(* Every symbol the netlist and operating point define, built once: the
+   closure only reads the table, so domains may share it.  The first
+   device of a name wins, and for [gm_] a MOS wins over a VCCS. *)
+let valuation ?(tech = Mixsyn_circuit.Tech.generic_07um) nl op =
+  let table = Hashtbl.create 64 in
+  let define kind dev v =
+    let name = kind ^ "_" ^ dev in
+    if not (Hashtbl.mem table name) then Hashtbl.add table name v
+  in
+  List.iter
+    (fun ((m : Netlist.mos), (e : Mos_model.eval)) ->
+      let dev = m.Netlist.m_name in
+      let caps = Mos_model.capacitances tech m e.Mos_model.region in
+      define "gm" dev (Float.abs e.Mos_model.gm);
+      define "gds" dev (Float.abs e.Mos_model.gds);
+      define "gmb" dev (Float.abs e.Mos_model.gmb);
+      define "cgs" dev caps.Mos_model.cgs;
+      define "cgd" dev caps.Mos_model.cgd;
+      define "cdb" dev caps.Mos_model.cdb;
+      define "csb" dev caps.Mos_model.csb)
+    op.Mna.mos_evals;
+  List.iter
+    (function
+      | Netlist.Vccs { g_name; gm; _ } -> define "gm" g_name gm
+      | Netlist.Resistor { r_name; ohms; _ } -> define "g" r_name (1.0 /. ohms)
+      | Netlist.Capacitor { c_name; farads; _ } -> define "c" c_name farads
+      | Netlist.Mos _ | Netlist.Vsource _ | Netlist.Isource _ -> ())
+    (Netlist.elements nl);
+  fun name -> Hashtbl.find table name
 
 let eval_rational value r sval =
   Complex.div (Expr.eval value r.num sval) (Expr.eval value r.den sval)

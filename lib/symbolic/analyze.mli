@@ -16,7 +16,16 @@ val transfer :
   out:Mixsyn_circuit.Netlist.net ->
   rational
 (** Symbolic transfer from the netlist's AC excitation (the sources with a
-    nonzero [ac] field) to the output net voltage. *)
+    nonzero [ac] field) to the output net voltage; runs inside a
+    [symbolic.transfer] telemetry span. *)
+
+val cramer_matrices :
+  Mixsyn_circuit.Netlist.t ->
+  out:Mixsyn_circuit.Netlist.net ->
+  Expr.t array array * Expr.t array array
+(** The symbolic MNA matrix, and the same matrix with the output column
+    replaced by the excitation: {!transfer} is the ratio of the second's
+    determinant to the first's.  Exposed for tests. *)
 
 val determinant : Expr.t array array -> Expr.t
 (** Memoised Laplace expansion; exposed for tests. *)
@@ -28,6 +37,11 @@ val valuation :
   string ->
   float
 (** Symbol values at an operating point: [valuation nl op "gm_m1"] etc.
+    [valuation ~tech nl op] builds the whole symbol table at once; the
+    returned function is one hash lookup, never mutates, and may be called
+    from several domains.  A MOS defines [gm_]/[gds_]/[gmb_]/[cgs_]/
+    [cgd_]/[cdb_]/[csb_], a VCCS [gm_] (a MOS of the same name wins), a
+    resistor [g_] and a capacitor [c_]; the first device of a name wins.
     @raise Not_found for unknown symbols. *)
 
 val eval_rational : (string -> float) -> rational -> Complex.t -> Complex.t
