@@ -7,6 +7,7 @@ module Batch = Mixsyn_flow.Batch
 module Json = Mixsyn_util.Json
 module Cancel = Mixsyn_util.Cancel
 module Spec = Mixsyn_synth.Spec
+module Telemetry = Mixsyn_util.Telemetry
 
 let read_file path =
   let ic = open_in_bin path in
@@ -323,6 +324,46 @@ let test_summary_json_shape () =
   | Some l -> Alcotest.(check int) "records" 3 (List.length l)
   | None -> Alcotest.fail "summary lacks records"
 
+(* a batch job's allocation contract: 48 stand-in jobs (a burst of 25 DC
+   solves each on a seed-perturbed 5T OTA; every 8th job provably
+   infeasible, so prefiltered) at jobs 1 stay under 1e6 minor words per
+   job, journal writes included *)
+let test_allocation_per_job () =
+  let n = 48 in
+  let manifest =
+    manifest_exn
+      (String.concat "\n"
+         (List.init n (fun i ->
+              Printf.sprintf
+                "{\"id\": \"job-%02d\", \"seed\": %d, \"specs\": [{\"name\": \"gain_db\", \"at_least\": %s}], \"topology\": \"ota-5t\"}"
+                i (i + 1)
+                (if i mod 8 = 3 then "1000.0" else "40.0"))))
+  in
+  let top = Mixsyn_circuit.Topology.ota_5t in
+  let tech = Mixsyn_circuit.Tech.generic_07um in
+  let executor (_ : Batch.job) ~seed =
+    let params =
+      Array.mapi
+        (fun i v -> v *. (1.0 +. (0.002 *. float_of_int (((seed * 31) + i) mod 5))))
+        (Mixsyn_circuit.Template.midpoint top)
+    in
+    let nl = top.Mixsyn_circuit.Template.build tech params in
+    let power = ref 0.0 in
+    for _ = 1 to 25 do
+      power := Mixsyn_engine.Dc.power nl (Mixsyn_engine.Dc.solve ~tech nl)
+    done;
+    Json.Obj [ ("power_w", Json.Num !power) ]
+  in
+  let journal = temp_journal () in
+  let w0 = Gc.minor_words () in
+  let s = Batch.run ~jobs:1 ~executor ~journal manifest in
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  Sys.remove journal;
+  Alcotest.(check int) "completed + prefiltered" n (s.Batch.completed + s.Batch.prefiltered);
+  Alcotest.(check int) "prefiltered" 6 s.Batch.prefiltered;
+  Printf.printf "batch: %.3g minor words/job\n" words;
+  if words > 1e6 then Alcotest.failf "%.3g minor words/job, cap 1e6" words
+
 (* --- the static prefilter ------------------------------------------------ *)
 
 let infeasible_line ?(extra = "") id =
@@ -410,6 +451,17 @@ let test_prefilter_journal_jobs_invariant () =
 
 (* --- the cross-job stage cache ------------------------------------------ *)
 
+(* the real sizing stage of a flow, as a batch executor *)
+let sizing_executor ~schedule ~stage_cache (job : Batch.job) ~seed =
+  let r =
+    Mixsyn_flow.Flow.size_stage ~strategy:Mixsyn_synth.Sizing.Equation_annealing ~schedule
+      ~stage_cache ~seed ~context:job.Batch.context ~specs:job.Batch.specs
+      ~objectives:job.Batch.objectives Mixsyn_circuit.Topology.ota_5t
+  in
+  Json.Obj
+    [ ("cost", Json.Num r.Mixsyn_synth.Sizing.cost);
+      ("evaluations", Json.Num (float_of_int r.Mixsyn_synth.Sizing.evaluations)) ]
+
 let test_stage_cache_journal_invariant () =
   (* a repeated-spec manifest through the real sizing stage: the journal
      must be byte-identical at jobs {1,2,4} with the cache on or off, and
@@ -426,21 +478,11 @@ let test_stage_cache_journal_invariant () =
   let schedule =
     { Mixsyn_opt.Anneal.t_start = 5.0; t_end = 0.5; cooling = 0.7; moves_per_stage = 40 }
   in
-  let sizing_executor ~stage_cache (job : Batch.job) ~seed =
-    let r =
-      Mixsyn_flow.Flow.size_stage ~strategy:Mixsyn_synth.Sizing.Equation_annealing
-        ~schedule ~stage_cache ~seed ~context:job.Batch.context ~specs:job.Batch.specs
-        ~objectives:job.Batch.objectives Mixsyn_circuit.Topology.ota_5t
-    in
-    Json.Obj
-      [ ("cost", Json.Num r.Mixsyn_synth.Sizing.cost);
-        ("evaluations", Json.Num (float_of_int r.Mixsyn_synth.Sizing.evaluations)) ]
-  in
   let run ~stage_cache jobs =
     let journal = temp_journal () in
     let s =
-      Batch.run ~jobs ~prefilter:false ~executor:(sizing_executor ~stage_cache) ~journal
-        manifest
+      Batch.run ~jobs ~prefilter:false ~executor:(sizing_executor ~schedule ~stage_cache)
+        ~journal manifest
     in
     let bytes = read_file journal in
     Sys.remove journal;
@@ -468,6 +510,47 @@ let test_stage_cache_journal_invariant () =
   if s.Batch.cache_hits < 6 then Alcotest.fail "warm run should hit on every job";
   if not (String.equal reference bytes) then
     Alcotest.fail "warm cached journal differs from the uncached reference"
+
+(* the cache's saving, in counts: 32 jobs over 4 distinct sizing inputs,
+   from a cold cache at jobs 1, hit the cache n - 4 times and run the
+   sizing evaluator at most 1/1.5 as often as with the cache bypassed, with
+   byte-identical journals *)
+let test_stage_cache_saves_evaluations () =
+  let n = 32 and distinct = 4 in
+  let manifest =
+    manifest_exn
+      (String.concat "\n"
+         (List.init n (fun i ->
+              Printf.sprintf
+                "{\"id\": \"cache-%02d\", \"seed\": 7, \"specs\": [{\"name\": \"gain_db\", \"at_least\": %.1f}], \"objectives\": [{\"minimize\": \"power_w\"}], \"topology\": \"ota-5t\"}"
+                i
+                (30.0 +. float_of_int (i mod distinct)))))
+  in
+  let schedule =
+    { Mixsyn_opt.Anneal.t_start = 10.0; t_end = 0.05; cooling = 0.85; moves_per_stage = 300 }
+  in
+  let run ~stage_cache =
+    Mixsyn_flow.Flow.clear_stage_cache ();
+    let evals0 = Telemetry.counter "sizing.evaluator_invocations" in
+    let journal = temp_journal () in
+    let s =
+      Batch.run ~jobs:1 ~prefilter:false ~executor:(sizing_executor ~schedule ~stage_cache)
+        ~journal manifest
+    in
+    let bytes = read_file journal in
+    Sys.remove journal;
+    Alcotest.(check int) (Printf.sprintf "completed, cache %b" stage_cache) n s.Batch.completed;
+    (s, Telemetry.counter "sizing.evaluator_invocations" - evals0, bytes)
+  in
+  let _, uncached_evals, uncached_bytes = run ~stage_cache:false in
+  let s, cached_evals, cached_bytes = run ~stage_cache:true in
+  Alcotest.(check int) "hits" (n - distinct) s.Batch.cache_hits;
+  Alcotest.(check int) "misses" distinct s.Batch.cache_misses;
+  Printf.printf "evaluator invocations: %d cached, %d uncached\n" cached_evals uncached_evals;
+  if float_of_int cached_evals *. 1.5 > float_of_int uncached_evals then
+    Alcotest.failf "cached run made %d evaluator invocations, uncached %d: saving under 1.5x"
+      cached_evals uncached_evals;
+  Alcotest.(check string) "journal identical cached/uncached" uncached_bytes cached_bytes
 
 (* --- work-stealing order is unobservable --------------------------------- *)
 
@@ -540,7 +623,8 @@ let () =
           Alcotest.test_case "foreign record" `Quick test_journal_foreign_record_rejected;
           Alcotest.test_case "bad arguments" `Quick test_run_rejects_bad_args;
           Alcotest.test_case "faults isolated" `Quick test_faults_recorded_others_complete;
-          Alcotest.test_case "summary json" `Quick test_summary_json_shape ] );
+          Alcotest.test_case "summary json" `Quick test_summary_json_shape;
+          Alcotest.test_case "allocation per job" `Quick test_allocation_per_job ] );
       ( "prefilter",
         [ Alcotest.test_case "skips infeasible" `Quick test_prefilter_skips_infeasible;
           Alcotest.test_case "optional" `Quick test_prefilter_optional;
@@ -548,6 +632,7 @@ let () =
           Alcotest.test_case "jobs invariant" `Quick test_prefilter_journal_jobs_invariant ] );
       ( "stage-cache",
         [ Alcotest.test_case "journal invariant" `Quick test_stage_cache_journal_invariant;
+          Alcotest.test_case "saves evaluations" `Quick test_stage_cache_saves_evaluations;
           QCheck_alcotest.to_alcotest prop_stealing_order_invariant ] );
       ( "flow",
         [ Alcotest.test_case "cooperative timeout" `Slow test_flow_executor_times_out ] ) ]

@@ -222,6 +222,24 @@ let test_ac_ota_gain_formula () =
   let gain = Ac.magnitude ac 0 out in
   check_close ~eps:0.1 "gm/gds gain" (gm1 /. (gds2 +. gds4)) gain
 
+(* the AC kernel's allocation contract: a dense 2701-point sweep of the
+   Miller OTA stays under 400 minor words per point (the boxed kernel took
+   ~3700).  [Ac.solve] runs inline, so this domain's counter sees every
+   word it allocates. *)
+let test_ac_sweep_allocation () =
+  let nl =
+    Mixsyn_circuit.Topology.miller_ota.Mixsyn_circuit.Template.build tech
+      [| 60e-6; 20e-6; 30e-6; 60e-6; 45e-6; 1e-6; 50e-6; 3e-12; 5e-12 |]
+  in
+  let op = Dc.solve ~tech nl in
+  let freqs = Ac.log_sweep ~decades_from:0.0 ~decades_to:9.0 ~points_per_decade:300 in
+  Alcotest.(check int) "points" 2701 (Array.length freqs);
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Ac.solve ~tech nl op ~freqs));
+  let words = (Gc.minor_words () -. w0) /. float_of_int (Array.length freqs) in
+  Printf.printf "ac sweep: %.0f minor words/point\n" words;
+  if words > 400.0 then Alcotest.failf "%.0f minor words/point, cap 400" words
+
 (* --- transient -------------------------------------------------------------- *)
 
 (* a 1 V step into 1 kohm / 100 nF, and 2 V charging 1 uF through 100 ohm *)
@@ -712,7 +730,8 @@ let () =
           Alcotest.test_case "sweep grid" `Quick test_ac_sweep_grid;
           Alcotest.test_case "sweep endpoint exact" `Quick test_ac_sweep_endpoint;
           Alcotest.test_case "flat kernel matches boxed" `Quick test_ac_flat_matches_boxed;
-          Alcotest.test_case "ota gain formula" `Quick test_ac_ota_gain_formula ] );
+          Alcotest.test_case "ota gain formula" `Quick test_ac_ota_gain_formula;
+          Alcotest.test_case "sweep allocation cap" `Quick test_ac_sweep_allocation ] );
       ( "transient",
         [ Alcotest.test_case "rc step" `Quick test_tran_rc_step;
           Alcotest.test_case "settling time" `Quick test_tran_settling_time;

@@ -275,6 +275,18 @@ let test_place_jobs_invariant () =
   Alcotest.(check bool) "jobs 1 = jobs 2" true (p1 = run 2);
   Alcotest.(check bool) "jobs 1 = jobs 4" true (p1 = run 4)
 
+(* the incremental placement evaluator's allocation contract: a full
+   4-restart placement of the Miller OTA at jobs 1 (every chain on this
+   domain) stays under 8.9e6 minor words per restart (~8.9e8 before the
+   evaluator was incremental) *)
+let test_place_allocation () =
+  let its, _, sym = items () in
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (P.place ~seed:23 ~restarts:4 ~jobs:1 its sym));
+  let words = (Gc.minor_words () -. w0) /. 4.0 in
+  Printf.printf "placement: %.3g minor words/restart\n" words;
+  if words > 8.9e6 then Alcotest.failf "%.3g minor words/restart, cap 8.9e6" words
+
 (* --- maze routing ------------------------------------------------------------------ *)
 
 let test_route_miller_complete () =
@@ -1181,7 +1193,8 @@ let () =
           Alcotest.test_case "cost parts sane" `Quick test_placer_cost_parts_nonnegative;
           qt prop_eval_matches_full_recompute;
           qt prop_eval_revert_exact;
-          Alcotest.test_case "place invariant in jobs" `Quick test_place_jobs_invariant ] );
+          Alcotest.test_case "place invariant in jobs" `Quick test_place_jobs_invariant;
+          Alcotest.test_case "place allocation cap" `Quick test_place_allocation ] );
       ( "maze-router",
         [ Alcotest.test_case "miller complete" `Quick test_route_miller_complete;
           Alcotest.test_case "coupling reported" `Quick test_route_coupling_reported;

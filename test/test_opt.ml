@@ -225,6 +225,17 @@ let test_corner_search_monotone () =
   check_close ~eps:1e-9 "at the extreme" 0.1 (Float.abs corner.Mixsyn_circuit.Tech.d_vdd);
   if evals < 16 then Alcotest.fail "did not sweep the vertices"
 
+let test_corner_search_jobs_invariant () =
+  (* a violation that ties on many vertices: which one wins must not depend
+     on how the sweep was split across domains *)
+  let violation (c : Mixsyn_circuit.Tech.corner) =
+    Float.abs c.Mixsyn_circuit.Tech.d_vdd +. Float.abs c.Mixsyn_circuit.Tech.d_vth
+  in
+  let run jobs = CS.worst_corner ~refine:false ~jobs ~violation () in
+  let r1 = run 1 in
+  Alcotest.(check bool) "jobs 1 = jobs 2" true (r1 = run 2);
+  Alcotest.(check bool) "jobs 1 = jobs 4" true (r1 = run 4)
+
 let test_corner_search_refinement () =
   (* maximum in the interior: refinement must beat the vertices *)
   let violation (c : Mixsyn_circuit.Tech.corner) =
@@ -269,4 +280,6 @@ let () =
       ( "corner-search",
         [ Alcotest.test_case "monotone" `Quick test_corner_search_monotone;
           Alcotest.test_case "refinement" `Quick test_corner_search_refinement;
+          Alcotest.test_case "vertex sweep invariant in jobs" `Quick
+            test_corner_search_jobs_invariant;
           Alcotest.test_case "corner_of_point" `Quick test_corner_of_point ] ) ]

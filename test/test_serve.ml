@@ -420,24 +420,40 @@ let batch_reference () =
 
 let test_journal_identity_with_batch () =
   let reference = batch_reference () in
-  let (), _, journal =
-    with_server (fun h ->
-        List.iter
-          (fun line ->
-            let status, _, _ = post h "/jobs" line in
-            if status <> 202 then Alcotest.failf "submit %s -> %d" line status;
-            (* sequential submission, like a batch manifest: wait out each
-               job so journal order is also completion order *)
-            match Json.parse line with
-            | Ok j ->
-              let id = Option.get (Option.bind (Json.member "id" j) Json.to_str) in
-              ignore (poll_done h id)
-            | Error m -> Alcotest.fail m)
-          identity_manifest)
+  let id_of line =
+    match Json.parse line with
+    | Ok j -> Option.get (Option.bind (Json.member "id" j) Json.to_str)
+    | Error m -> Alcotest.fail m
   in
-  let served = read_file journal in
-  Sys.remove journal;
-  Alcotest.(check string) "serve journal byte-identical to batch" reference served
+  let submit h line =
+    let status, _, _ = post h "/jobs" line in
+    if status <> 202 then Alcotest.failf "submit %s -> %d" line status
+  in
+  (* sequential submission, like a batch manifest: wait out each job so
+     journal order is also completion order; then a burst onto 4 workers,
+     where jobs may finish out of order but are journalled in submission order *)
+  List.iter
+    (fun (label, workers, drive) ->
+      let (), stats, journal = with_server ~workers drive in
+      let served = read_file journal in
+      Sys.remove journal;
+      Alcotest.(check int) (label ^ ": drain finished every job")
+        (List.length identity_manifest) stats.Serve.finished;
+      Alcotest.(check string) (label ^ ": serve journal byte-identical to batch") reference
+        served)
+    [ ( "sequential",
+        2,
+        fun h ->
+          List.iter
+            (fun line ->
+              submit h line;
+              ignore (poll_done h (id_of line)))
+            identity_manifest );
+      ( "burst",
+        4,
+        fun h ->
+          List.iter (submit h) identity_manifest;
+          List.iter (fun line -> ignore (poll_done h (id_of line))) identity_manifest ) ]
 
 (* kill-mid-request resume: the same torn-journal machinery batch resume
    uses.  A journal holding a valid prefix plus a torn trailing line —
