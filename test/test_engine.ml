@@ -497,6 +497,196 @@ let prop_tran_detector_matches_oracle =
       | exception Dc.No_convergence _ -> QCheck.assume_fail ()
       | op -> tran_matches_oracle nl op ~t_stop:12e-6 ~dt:6e-9)
 
+(* --- DC bit-identity oracle ---------------------------------------------- *)
+
+(* A boxed DC operating point written out independently of the engine: a
+   fresh [float array array] assembly per Newton iteration (elements in
+   netlist order with sources at [alpha *. dc], then the gmin diagonal), a
+   copying [Matrix.Real.solve], the 0.5 V damped update, and the same
+   continuation ladder (direct, source stepping, gmin stepping).
+   [Dc.solve] must reproduce its [x], [iterations] and [mos_evals] bit for
+   bit. *)
+module Oracle_dc = struct
+  module Real = Mixsyn_util.Matrix.Real
+
+  let gmin = 1e-9
+  let max_iterations = 200
+
+  let assemble nl (layout : Mna.layout) x ~alpha ~gmin =
+    let n = layout.Mna.size in
+    let a = Real.create n n in
+    let b = Array.make n 0.0 in
+    let v net = if net = N.gnd then 0.0 else x.(Mna.node_index net) in
+    let stamp i j g = if i >= 0 && j >= 0 then a.(i).(j) <- a.(i).(j) +. g in
+    let rhs i g = if i >= 0 then b.(i) <- b.(i) +. g in
+    let branch = ref (layout.Mna.nets - 1) in
+    let evals = ref [] in
+    let each = function
+      | N.Resistor { a = na; b = nb; ohms; _ } ->
+        let g = 1.0 /. ohms in
+        let ia = Mna.node_index na and ib = Mna.node_index nb in
+        stamp ia ia g;
+        stamp ib ib g;
+        stamp ia ib (-.g);
+        stamp ib ia (-.g)
+      | N.Capacitor _ -> ()
+      | N.Vccs { p; n = nn; cp; cn; gm; _ } ->
+        let ip = Mna.node_index p and inn = Mna.node_index nn in
+        let icp = Mna.node_index cp and icn = Mna.node_index cn in
+        stamp ip icp gm;
+        stamp ip icn (-.gm);
+        stamp inn icp (-.gm);
+        stamp inn icn gm
+      | N.Isource { p; n = nn; dc; _ } ->
+        rhs (Mna.node_index p) (alpha *. dc);
+        rhs (Mna.node_index nn) (-.(alpha *. dc))
+      | N.Vsource { p; n = nn; dc; _ } ->
+        let row = !branch in
+        incr branch;
+        let ip = Mna.node_index p and inn = Mna.node_index nn in
+        stamp ip row 1.0;
+        stamp inn row (-1.0);
+        stamp row ip 1.0;
+        stamp row inn (-1.0);
+        rhs row (alpha *. dc)
+      | N.Mos m ->
+        let e =
+          Mos.evaluate tech m ~vd:(v m.N.drain) ~vg:(v m.N.gate) ~vs:(v m.N.source)
+            ~vb:(v m.N.bulk)
+        in
+        evals := (m, e) :: !evals;
+        let id = Mna.node_index m.N.drain
+        and ig = Mna.node_index m.N.gate
+        and is = Mna.node_index m.N.source
+        and ib = Mna.node_index m.N.bulk in
+        let open Mos in
+        stamp id id e.did_dvd;
+        stamp id ig e.did_dvg;
+        stamp id is e.did_dvs;
+        stamp id ib e.did_dvb;
+        stamp is id (-.e.did_dvd);
+        stamp is ig (-.e.did_dvg);
+        stamp is is (-.e.did_dvs);
+        stamp is ib (-.e.did_dvb);
+        let linear_at_op =
+          (e.did_dvd *. v m.N.drain)
+          +. (e.did_dvg *. v m.N.gate)
+          +. (e.did_dvs *. v m.N.source)
+          +. (e.did_dvb *. v m.N.bulk)
+        in
+        let const = e.ids -. linear_at_op in
+        rhs id (-.const);
+        rhs is const
+    in
+    List.iter each (N.elements nl);
+    for i = 0 to layout.Mna.nets - 2 do
+      a.(i).(i) <- a.(i).(i) +. gmin
+    done;
+    (a, b, List.rev !evals)
+
+  let newton nl layout ~x0 ~alpha ~gmin =
+    let x = Array.copy x0 in
+    let n = layout.Mna.size in
+    let rec loop iter =
+      if iter > max_iterations then None
+      else begin
+        let a, b, evals = assemble nl layout x ~alpha ~gmin in
+        match Real.solve a b with
+        | exception Real.Singular _ -> None
+        | x_new ->
+          let max_delta = ref 0.0 in
+          for i = 0 to n - 1 do
+            max_delta := Float.max !max_delta (Float.abs (x_new.(i) -. x.(i)))
+          done;
+          let limit = 0.5 in
+          let scale = if !max_delta > limit then limit /. !max_delta else 1.0 in
+          for i = 0 to n - 1 do
+            x.(i) <- x.(i) +. (scale *. (x_new.(i) -. x.(i)))
+          done;
+          if !max_delta < 1e-9 then Some (x, evals, iter) else loop (iter + 1)
+      end
+    in
+    loop 1
+
+  (* each rung warm-starts from the previous one; the last rung's solve
+     is the answer *)
+  let rec ladder nl layout x0 = function
+    | [] -> None
+    | (alpha, gmin) :: rest -> (
+      match newton nl layout ~x0 ~alpha ~gmin with
+      | Some ((x, _, _) as r) -> if rest = [] then Some r else ladder nl layout x rest
+      | None -> None)
+
+  (* [Some (x, mos_evals, iterations)], or [None] where [Dc.solve] must
+     raise [No_convergence] *)
+  let solve nl =
+    let layout = Mna.layout_of nl in
+    let zeros = Array.make layout.Mna.size 0.0 in
+    let source_steps = List.map (fun a -> (a, gmin)) [ 0.1; 0.25; 0.4; 0.55; 0.7; 0.85; 1.0 ] in
+    let gmin_steps = List.map (fun g -> (1.0, g)) [ 1e-3; 1e-5; 1e-7; gmin ] in
+    List.fold_left
+      (fun found rungs -> match found with Some _ -> found | None -> ladder nl layout zeros rungs)
+      None
+      [ [ (1.0, gmin) ]; source_steps; gmin_steps ]
+end
+
+let same_eval (a : Mos.eval) (b : Mos.eval) =
+  a.Mos.region = b.Mos.region
+  && List.for_all2 same_bits
+       [ a.ids; a.did_dvd; a.did_dvg; a.did_dvs; a.did_dvb; a.vgs; a.vds; a.vth; a.vdsat;
+         a.gm; a.gds; a.gmb ]
+       [ b.ids; b.did_dvd; b.did_dvg; b.did_dvs; b.did_dvb; b.vgs; b.vds; b.vth; b.vdsat;
+         b.gm; b.gds; b.gmb ]
+
+(* [Dc.solve] and the oracle agree bit for bit on the solution vector, the
+   iteration count and every MOS evaluation, or both fail to converge *)
+let dc_matches_oracle nl =
+  let engine = match Dc.solve ~tech nl with op -> Some op | exception Dc.No_convergence _ -> None in
+  match (Oracle_dc.solve nl, engine) with
+  | None, None -> true
+  | None, Some _ | Some _, None -> false
+  | Some (x, evals, iterations), Some op ->
+    Array.for_all2 same_bits op.Mna.x x
+    && op.Mna.iterations = iterations
+    && List.length op.Mna.mos_evals = List.length evals
+    && List.for_all2
+         (fun (m, e) (m', e') -> m = m' && same_eval e e')
+         op.Mna.mos_evals evals
+
+(* one sizing per seed, drawn in the template's box *)
+let dc_circuits =
+  let module D = Mixsyn_circuit.Detector in
+  let module Tp = Mixsyn_circuit.Template in
+  let detector = D.template () in
+  let at (t : Tp.t) seed = Tp.random_point t (Mixsyn_util.Rng.create seed) in
+  [ ("detector", fun seed -> D.build tech (D.sizing_of_vector (at detector seed))) ]
+  @ List.map
+      (fun (t : Tp.t) -> (t.Tp.t_name, fun seed -> t.Tp.build tech (at t seed)))
+      Mixsyn_circuit.Topology.all
+
+let prop_dc_matches_oracle =
+  QCheck.Test.make ~name:"dc operating point is bit-identical to the boxed oracle" ~count:60
+    QCheck.(pair (int_range 0 (List.length dc_circuits - 1)) (int_range 0 100_000))
+    (fun (k, seed) -> dc_matches_oracle ((snd (List.nth dc_circuits k)) seed))
+
+(* fixed sizings that need the fallbacks: a direct solve that fails and
+   source stepping that lands, source stepping that fails and gmin stepping
+   that lands, and one where every strategy fails *)
+let test_dc_fallbacks_match_oracle () =
+  let module T = Mixsyn_util.Telemetry in
+  List.iter
+    (fun (name, seed, counter) ->
+      let nl = (List.assoc name dc_circuits) seed in
+      let before = T.counter counter in
+      if not (dc_matches_oracle nl) then
+        Alcotest.failf "%s seed %d: Dc.solve differs from the boxed oracle" name seed;
+      if T.counter counter = before then
+        Alcotest.failf "%s seed %d never reached %s" name seed counter)
+    [ ("miller-ota", 180, "dc.source_stepping_runs");
+      ("ota-5t", 364, "dc.source_stepping_runs");
+      ("folded-cascode", 45, "dc.gmin_stepping_runs");
+      ("folded-cascode", 255, "dc.no_convergence") ]
+
 (* --- noise ------------------------------------------------------------------ *)
 
 let test_noise_resistor_4ktr () =
@@ -717,7 +907,9 @@ let () =
           Alcotest.test_case "vccs" `Quick test_dc_vccs;
           Alcotest.test_case "power balance" `Quick test_dc_power_balance;
           Alcotest.test_case "branch current" `Quick test_dc_branch_current;
-          Alcotest.test_case "mos diode bias" `Quick test_mos_diode_bias ] );
+          Alcotest.test_case "mos diode bias" `Quick test_mos_diode_bias;
+          Alcotest.test_case "fallbacks match boxed oracle" `Quick test_dc_fallbacks_match_oracle;
+          QCheck_alcotest.to_alcotest prop_dc_matches_oracle ] );
       ( "mos-model",
         [ Alcotest.test_case "square law" `Quick test_mos_square_law;
           Alcotest.test_case "cutoff" `Quick test_mos_cutoff;
