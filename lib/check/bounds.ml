@@ -158,7 +158,10 @@ let rel_width (params : Template.param array) (box0 : I.t array) i (iv : I.t) =
     if orig <= 0.0 then 0.0 else I.width iv /. orig
   end
 
-let contract ?tech ?(context = []) ?(budget = 63) specs (template : Template.t) =
+(* the bisection's split budget: 63 splits leave at most 64 leaf boxes *)
+let split_budget = 63
+
+let contract ?tech ?(context = []) specs (template : Template.t) =
   let pinned = pin template context in
   let params = pinned.Template.params in
   let n = Array.length params in
@@ -180,7 +183,7 @@ let contract ?tech ?(context = []) ?(budget = 63) specs (template : Template.t) 
           dim := i
         end
       done;
-      if !dim < 0 || !splits >= budget then survivors := box :: !survivors
+      if !dim < 0 || !splits >= split_budget then survivors := box :: !survivors
       else begin
         incr splits;
         let a, b =

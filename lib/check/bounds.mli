@@ -89,15 +89,14 @@ type contraction = {
 val contract :
   ?tech:Mixsyn_circuit.Tech.t ->
   ?context:(string * float) list ->
-  ?budget:int ->
   Mixsyn_synth.Spec.t list ->
   Mixsyn_circuit.Template.t ->
   contraction
 (** Breadth-first bisection (geometric for log-scaled parameters) of the
     parameter box, dropping sub-boxes whose certified enclosure proves a
-    spec violated, up to [budget] splits (default 63).  Sound: only
-    regions where {e no} point can meet the specs are removed, so the
-    contracted box still contains every spec-satisfying sizing.
+    spec violated, up to 63 splits.  Sound: only regions where {e no}
+    point can meet the specs are removed, so the contracted box still
+    contains every spec-satisfying sizing.
     Deterministic — no randomness, no wall-clock. *)
 
 (** {2 Symbolic transfer-function bounds} *)

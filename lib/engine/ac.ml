@@ -17,65 +17,29 @@ let build_system tech nl op =
   let stamp_c i j v = if i >= 0 && j >= 0 then c.(i).(j) <- c.(i).(j) +. v in
   let branch = ref (layout.Mna.nets - 1) in
   let each = function
-    | Netlist.Resistor { a = na; b = nb; ohms; _ } ->
-      let gv = 1.0 /. ohms in
-      let ia = Mna.node_index na and ib = Mna.node_index nb in
-      stamp_g ia ia gv;
-      stamp_g ib ib gv;
-      stamp_g ia ib (-.gv);
-      stamp_g ib ia (-.gv)
+    | Netlist.Resistor { a; b; ohms; _ } -> Mna.stamp_conductance stamp_g a b (1.0 /. ohms)
     | Netlist.Capacitor _ -> ()
       (* stamped below together with the MOS capacitances *)
-    | Netlist.Vccs { p; n = nn; cp; cn; gm; _ } ->
-      let ip = Mna.node_index p and inn = Mna.node_index nn in
-      let icp = Mna.node_index cp and icn = Mna.node_index cn in
-      stamp_g ip icp gm;
-      stamp_g ip icn (-.gm);
-      stamp_g inn icp (-.gm);
-      stamp_g inn icn gm
+    | Netlist.Vccs { p; n; cp; cn; gm; _ } -> Mna.stamp_vccs stamp_g ~p ~n ~cp ~cn gm
     | Netlist.Isource { p; n = nn; ac; _ } ->
       if ac <> 0.0 then begin
         let ip = Mna.node_index p and inn = Mna.node_index nn in
         if ip >= 0 then b.(ip) <- Complex.add b.(ip) { Complex.re = ac; im = 0.0 };
         if inn >= 0 then b.(inn) <- Complex.sub b.(inn) { Complex.re = ac; im = 0.0 }
       end
-    | Netlist.Vsource { ac; p; n = nn; _ } ->
+    | Netlist.Vsource { ac; p; n; _ } ->
       let row = !branch in
       incr branch;
-      let ip = Mna.node_index p and inn = Mna.node_index nn in
-      stamp_g ip row 1.0;
-      stamp_g inn row (-1.0);
-      stamp_g row ip 1.0;
-      stamp_g row inn (-1.0);
+      Mna.stamp_branch stamp_g ~row p n;
       if ac <> 0.0 then b.(row) <- { Complex.re = ac; im = 0.0 }
     | Netlist.Mos _ -> ()
   in
   List.iter each (Netlist.elements nl);
   (* MOS small-signal conductances from the operating point *)
-  List.iter
-    (fun (m, (e : Mos_model.eval)) ->
-      let id = Mna.node_index m.Netlist.drain
-      and ig = Mna.node_index m.Netlist.gate
-      and is = Mna.node_index m.Netlist.source
-      and ib = Mna.node_index m.Netlist.bulk in
-      stamp_g id id e.Mos_model.did_dvd;
-      stamp_g id ig e.Mos_model.did_dvg;
-      stamp_g id is e.Mos_model.did_dvs;
-      stamp_g id ib e.Mos_model.did_dvb;
-      stamp_g is id (-.e.Mos_model.did_dvd);
-      stamp_g is ig (-.e.Mos_model.did_dvg);
-      stamp_g is is (-.e.Mos_model.did_dvs);
-      stamp_g is ib (-.e.Mos_model.did_dvb))
-    op.Mna.mos_evals;
+  List.iter (fun (m, e) -> Mna.stamp_mos stamp_g m e) op.Mna.mos_evals;
   (* all capacitances, explicit and MOS *)
-  List.iter
-    (fun (na, nb, farads) ->
-      let ia = Mna.node_index na and ib = Mna.node_index nb in
-      stamp_c ia ia farads;
-      stamp_c ib ib farads;
-      stamp_c ia ib (-.farads);
-      stamp_c ib ia (-.farads))
-    (List.filter (fun (a, b, f) -> a <> b && f > 0.0) (Mna.linear_capacitors tech nl op));
+  List.iter (fun (a, b, farads) -> Mna.stamp_conductance stamp_c a b farads)
+    (Mna.linear_capacitors tech nl op);
   (g, c, b)
 
 (* The shared read-only per-sweep state: G and C flattened once into

@@ -3,158 +3,76 @@ module Fmat = Mixsyn_util.Fmat
 
 exception No_convergence of string
 
+let max_iterations = 200
+
+(* the continuation ladders, as (source scale, gmin) rungs *)
+let source_steps = List.map (fun a -> (a, Mna.gmin)) [ 0.1; 0.25; 0.4; 0.55; 0.7; 0.85; 1.0 ]
+let gmin_steps = List.map (fun g -> (1.0, g)) [ 1e-3; 1e-5; 1e-7; Mna.gmin ]
+
 (* Assemble the Newton-linearised MNA system A x_new = b around the current
-   guess [x], stamping straight into the reusable flat workspace [ws].
-   Independent sources are scaled by [alpha] for continuation. *)
-let assemble tech nl (layout : Mna.layout) ws x ~alpha ~gmin =
+   guess [x] into the reusable flat workspace [ws].  Independent sources are
+   scaled by [alpha] for continuation. *)
+let assemble tech layout ws elements x ~alpha ~gmin =
   Fmat.Real.clear ws;
-  let v net = if net = Netlist.gnd then 0.0 else x.(Mna.node_index net) in
   let evals = ref [] in
-  let branch = ref (layout.Mna.nets - 1) in
-  let stamp = Fmat.Real.stamp ws and rhs = Fmat.Real.rhs ws in
-  let each = function
-    | Netlist.Resistor { a = na; b = nb; ohms; _ } ->
-      let g = 1.0 /. ohms in
-      let ia = Mna.node_index na and ib = Mna.node_index nb in
-      stamp ia ia g;
-      stamp ib ib g;
-      stamp ia ib (-.g);
-      stamp ib ia (-.g)
-    | Netlist.Capacitor _ -> ()
-    | Netlist.Vccs { p; n = nn; cp; cn; gm; _ } ->
-      let ip = Mna.node_index p and inn = Mna.node_index nn in
-      let icp = Mna.node_index cp and icn = Mna.node_index cn in
-      stamp ip icp gm;
-      stamp ip icn (-.gm);
-      stamp inn icp (-.gm);
-      stamp inn icn gm
-    | Netlist.Isource { p; n = nn; dc; _ } ->
-      (* positive dc injects current into node p *)
-      rhs (Mna.node_index p) (alpha *. dc);
-      rhs (Mna.node_index nn) (-.(alpha *. dc))
-    | Netlist.Vsource { p; n = nn; dc; _ } ->
-      let row = !branch in
-      incr branch;
-      let ip = Mna.node_index p and inn = Mna.node_index nn in
-      stamp ip row 1.0;
-      stamp inn row (-1.0);
-      stamp row ip 1.0;
-      stamp row inn (-1.0);
-      rhs row (alpha *. dc)
-    | Netlist.Mos m ->
-      let e =
-        Mos_model.evaluate tech m ~vd:(v m.Netlist.drain) ~vg:(v m.Netlist.gate)
-          ~vs:(v m.Netlist.source) ~vb:(v m.Netlist.bulk)
-      in
-      evals := (m, e) :: !evals;
-      let id = Mna.node_index m.Netlist.drain
-      and ig = Mna.node_index m.Netlist.gate
-      and is = Mna.node_index m.Netlist.source
-      and ib = Mna.node_index m.Netlist.bulk in
-      let open Mos_model in
-      stamp id id e.did_dvd;
-      stamp id ig e.did_dvg;
-      stamp id is e.did_dvs;
-      stamp id ib e.did_dvb;
-      stamp is id (-.e.did_dvd);
-      stamp is ig (-.e.did_dvg);
-      stamp is is (-.e.did_dvs);
-      stamp is ib (-.e.did_dvb);
-      (* residual correction: i_lin = ids + J.(v_new - v0), so the constant
-         part (ids minus J.v at the expansion point) moves to the RHS *)
-      let linear_at_op =
-        (e.did_dvd *. v m.Netlist.drain)
-        +. (e.did_dvg *. v m.Netlist.gate)
-        +. (e.did_dvs *. v m.Netlist.source)
-        +. (e.did_dvb *. v m.Netlist.bulk)
-      in
-      let const = e.ids -. linear_at_op in
-      rhs id (-.const);
-      rhs is const
-  in
-  List.iter each (Netlist.elements nl);
-  (* gmin from every node to ground keeps floating gates solvable *)
-  for i = 0 to layout.Mna.nets - 2 do
-    stamp i i gmin
-  done;
+  Mna.stamp_newton tech layout ws elements x
+    ~source:(fun dc _ -> alpha *. dc)
+    ~on_mos:(fun m e -> evals := (m, e) :: !evals);
+  Mna.stamp_gmin ws layout gmin;
   List.rev !evals
 
-let newton tech nl layout ws ~x0 ~alpha ~gmin ~max_iterations =
+let newton tech layout ws elements ~x0 ~alpha ~gmin =
   let x = Array.copy x0 in
-  let n = layout.Mna.size in
-  let x_new = Array.make n 0.0 in
-  let iterations_run = ref 0 in
+  let x_new = Array.make layout.Mna.size 0.0 in
+  (* the result, and the number of iterations begun *)
   let rec loop iter =
-    incr iterations_run;
-    if iter > max_iterations then None
+    if iter > max_iterations then (None, iter)
     else begin
-      let evals = assemble tech nl layout ws x ~alpha ~gmin in
-      match
-        Fmat.Real.factor ws;
-        Fmat.Real.solve ws x_new
-      with
-      | exception Fmat.Singular _ -> None
-      | () ->
-        let max_delta = ref 0.0 in
-        for i = 0 to n - 1 do
-          max_delta := Float.max !max_delta (Float.abs (x_new.(i) -. x.(i)))
-        done;
-        (* damp: cap voltage updates at 0.5 V to avoid square-law overshoot *)
-        let limit = 0.5 in
-        let scale = if !max_delta > limit then limit /. !max_delta else 1.0 in
-        for i = 0 to n - 1 do
-          x.(i) <- x.(i) +. (scale *. (x_new.(i) -. x.(i)))
-        done;
-        if !max_delta < 1e-9 then Some (x, evals, iter)
-        else loop (iter + 1)
+      let evals = assemble tech layout ws elements x ~alpha ~gmin in
+      match Mna.damped_update ws x x_new with
+      | exception Fmat.Singular _ -> (None, iter)
+      | max_delta ->
+        if max_delta < 1e-9 then (Some (x, evals, iter), iter) else loop (iter + 1)
     end
   in
-  let r = loop 1 in
-  Mixsyn_util.Telemetry.add "dc.newton_iterations" !iterations_run;
+  let r, iterations_run = loop 1 in
+  Mixsyn_util.Telemetry.add "dc.newton_iterations" iterations_run;
   (match r with None -> Mixsyn_util.Telemetry.count "dc.newton_failures" | Some _ -> ());
   r
 
-let solve ?(tech = Mixsyn_circuit.Tech.generic_07um) ?(gmin = 1e-9) ?(max_iterations = 200) nl =
+let solve ?(tech = Mixsyn_circuit.Tech.generic_07um) nl =
   Mixsyn_util.Telemetry.count "dc.solves";
   let layout = Mna.layout_of nl in
   (* one flat workspace from this domain's pool serves every Newton
      iteration and every continuation step of this solve *)
   Fmat.with_real layout.Mna.size @@ fun ws ->
-  let newton = newton tech nl layout ws in
+  let newton = newton tech layout ws (Netlist.elements nl) in
   let zeros = Array.make layout.Mna.size 0.0 in
-  let finish (x, evals, iterations) = { Mna.op_layout = layout; x; mos_evals = evals; iterations } in
-  match newton ~x0:zeros ~alpha:1.0 ~gmin ~max_iterations with
-  | Some result -> finish result
+  (* each rung warm-starts from the one before; the last rung's solve is
+     the answer *)
+  let rec continuation x0 = function
+    | [] -> None
+    | (alpha, gmin) :: rest -> (
+      match newton ~x0 ~alpha ~gmin with
+      | Some ((x, _, _) as r) -> if rest = [] then Some r else continuation x rest
+      | None -> None)
+  in
+  match
+    match newton ~x0:zeros ~alpha:1.0 ~gmin:Mna.gmin with
+    | Some _ as r -> r
+    | None -> (
+      Mixsyn_util.Telemetry.count "dc.source_stepping_runs";
+      match continuation zeros source_steps with
+      | Some _ as r -> r
+      | None ->
+        (* gmin stepping as a last resort *)
+        Mixsyn_util.Telemetry.count "dc.gmin_stepping_runs";
+        continuation zeros gmin_steps)
+  with
+  | Some (x, evals, iterations) -> { Mna.op_layout = layout; x; mos_evals = evals; iterations }
   | None ->
-    (* source stepping with warm starts *)
-    Mixsyn_util.Telemetry.count "dc.source_stepping_runs";
-    let steps = [ 0.1; 0.25; 0.4; 0.55; 0.7; 0.85; 1.0 ] in
-    let rec continue x0 = function
-      | [] -> None
-      | alpha :: rest ->
-        (match newton ~x0 ~alpha ~gmin ~max_iterations with
-         | Some (x, evals, it) ->
-           if rest = [] then Some (x, evals, it) else continue x rest
-         | None -> None)
-    in
-    (match continue zeros steps with
-     | Some result -> finish result
-     | None ->
-       (* gmin stepping as a last resort *)
-       Mixsyn_util.Telemetry.count "dc.gmin_stepping_runs";
-       let rec gmin_steps x0 = function
-         | [] -> None
-         | g :: rest ->
-           (match newton ~x0 ~alpha:1.0 ~gmin:g ~max_iterations with
-            | Some (x, evals, it) ->
-              if rest = [] then Some (x, evals, it) else gmin_steps x rest
-            | None -> None)
-       in
-       (match gmin_steps zeros [ 1e-3; 1e-5; 1e-7; gmin ] with
-        | Some result -> finish result
-        | None ->
-          Mixsyn_util.Telemetry.count "dc.no_convergence";
-          raise (No_convergence "dc: newton, source and gmin stepping all failed")))
+    Mixsyn_util.Telemetry.count "dc.no_convergence";
+    raise (No_convergence "dc: newton, source and gmin stepping all failed")
 
 let power nl op =
   let layout = op.Mna.op_layout in
@@ -175,16 +93,7 @@ let power nl op =
 
 
 let sweep ?(tech = Mixsyn_circuit.Tech.generic_07um) nl ~source ~values =
-  (* verify the source exists up front *)
-  let exists =
-    List.exists
-      (function
-        | Netlist.Vsource { v_name; _ } -> v_name = source
-        | Netlist.Mos _ | Netlist.Resistor _ | Netlist.Capacitor _ | Netlist.Isource _
-        | Netlist.Vccs _ -> false)
-      (Netlist.elements nl)
-  in
-  if not exists then raise Not_found;
+  if not (Hashtbl.mem (Mna.layout_of nl).Mna.branch_tbl source) then raise Not_found;
   Array.map
     (fun v ->
       let nl' =

@@ -9,12 +9,12 @@ exception No_convergence of string
 
 val solve :
   ?tech:Mixsyn_circuit.Tech.t ->
-  ?gmin:float ->
-  ?max_iterations:int ->
   Mixsyn_circuit.Netlist.t ->
   Mna.op
-(** Operating point of the circuit.  Tries a direct Newton solve first, then
-    source stepping (continuation in the source scale), then gmin stepping.
+(** Operating point of the circuit, from a zero start.  Tries a direct
+    Newton solve first (at most 200 iterations, {!Mna.gmin} to ground on
+    every node), then source stepping (continuation in the source scale),
+    then gmin stepping.
     @raise No_convergence when all strategies fail. *)
 
 val power : Mixsyn_circuit.Netlist.t -> Mna.op -> float
@@ -26,8 +26,8 @@ val sweep :
   source:string ->
   values:float array ->
   (float * Mna.op) array
-(** DC transfer sweep: re-solve the operating point for each value of the
-    named voltage source's DC level, warm-starting each point from the
-    previous solution (the standard .DC analysis).
+(** DC transfer sweep (the standard .DC analysis): an independent
+    {!solve}, from zero, for each value of the named voltage source's DC
+    level.
     @raise Not_found when no voltage source has that name.
     @raise No_convergence when a sweep point fails. *)

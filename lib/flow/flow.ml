@@ -66,9 +66,9 @@ let measure_extracted tech template params layout_report =
 (* The sizing stage dominates flow wall time and is deterministic in the
    inputs {!Sizing.cache_key} serializes, so batch manifests with repeated
    spec prefixes (the stratified-sampler shape) can share one result
-   across jobs.  The cache is process-global and lock-striped; misses are
-   single-flight per stripe, so two workers that reach the same key
-   concurrently compute it once.  Journal byte-identity survives because
+   across jobs.  The cache is process-global; misses are single-flight, so
+   two workers that reach the same key concurrently compute it once.
+   Journal byte-identity survives because
    the only result field that is not a pure function of the key —
    [elapsed_s] — never reaches a journal record. *)
 let sizing_stage_cache : (string, Sizing.result) Mixsyn_util.Eval_cache.t =
@@ -97,7 +97,7 @@ let size_stage ?(tech = Mixsyn_circuit.Tech.generic_07um)
     Mixsyn_util.Eval_cache.find_or_compute sizing_stage_cache key (fun _ -> compute ())
 
 let run ?(tech = Mixsyn_circuit.Tech.generic_07um) ?(seed = 13) ?(max_redesigns = 2)
-    ?(candidates = Mixsyn_circuit.Topology.all) ?(checks = true) ?(contract = true)
+    ?(candidates = Mixsyn_circuit.Topology.all) ?(checks = true)
     ?(stage_cache = true) ~specs ~objectives ~context () =
   Mixsyn_util.Telemetry.with_span "flow.run" @@ fun () ->
   let log = ref [] in
@@ -187,15 +187,13 @@ let run ?(tech = Mixsyn_circuit.Tech.generic_07um) ?(seed = 13) ?(max_redesigns 
      the very same template value flows on and the anneal trajectory is
      bit-identical to a run without contraction. *)
   let template =
-    if not contract then template
-    else
-      timed log "box-contraction" (fun () ->
-          let c = Bounds.contract ~tech ~context specs template in
-          ( c.Bounds.c_template,
-            Printf.sprintf "pruned %d/%d boxes%s" c.Bounds.pruned c.Bounds.explored
-              (if c.Bounds.c_infeasible then ", box provably infeasible"
-               else if c.Bounds.pruned = 0 then ", box unchanged"
-               else "") ))
+    timed log "box-contraction" (fun () ->
+        let c = Bounds.contract ~tech ~context specs template in
+        ( c.Bounds.c_template,
+          Printf.sprintf "pruned %d/%d boxes%s" c.Bounds.pruned c.Bounds.explored
+            (if c.Bounds.c_infeasible then ", box provably infeasible"
+             else if c.Bounds.pruned = 0 then ", box unchanged"
+             else "") ))
   in
   (* 2/3. sizing + verification, 4/5. layout + extraction, with redesign *)
   let rec attempt redesigns extra_load =

@@ -74,7 +74,6 @@ val run :
   ?max_redesigns:int ->
   ?candidates:Mixsyn_circuit.Template.t list ->
   ?checks:bool ->
-  ?contract:bool ->
   ?stage_cache:bool ->
   specs:Mixsyn_synth.Spec.t list ->
   objectives:Mixsyn_synth.Spec.objective list ->
@@ -107,10 +106,10 @@ val run :
     audit); error/warning totals land in {!Mixsyn_util.Telemetry}
     under [check.<stage>.*].
 
-    Unless [contract] is [false], the selected template's parameter box
-    is contracted by branch-and-prune ({!Mixsyn_check.Bounds.contract})
-    before sizing: sub-boxes whose certified enclosure proves a spec
-    violated are cut away.  The contraction is sound and deterministic;
+    The selected template's parameter box is contracted by
+    branch-and-prune ({!Mixsyn_check.Bounds.contract}) before sizing:
+    sub-boxes whose certified enclosure proves a spec violated are cut
+    away.  The contraction is sound and deterministic;
     when nothing prunes, the template value is unchanged and the sizing
     trajectory is bit-identical to a run without contraction.
 

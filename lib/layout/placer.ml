@@ -21,16 +21,12 @@ type symmetry = {
 
 let no_symmetry = { mirror_pairs = []; self_symmetric = [] }
 
-type weights = {
-  w_overlap : float;
-  w_area : float;
-  w_wire : float;
-  w_symmetry : float;
-}
-
-let default_weights =
-  (* scales: areas ~1e-10 m^2, wires ~1e-4 m; normalise to comparable units *)
-  { w_overlap = 5e12; w_area = 1e12; w_wire = 3e5; w_symmetry = 3e5 }
+(* cost weights.  Scales: areas ~1e-10 m^2, wires ~1e-4 m; normalise to
+   comparable units *)
+let w_overlap = 5e12
+let w_area = 1e12
+let w_wire = 3e5
+let w_symmetry = 3e5
 
 let realized_cell item site =
   let cell = Cell.transform site.orient item.variants.(site.variant) in
@@ -87,12 +83,11 @@ module Eval = struct
     v_py1 : float array array;
   }
 
-  (* shared read-only tables, built once per (items, sym, rules, weights)
+  (* shared read-only tables, built once per (items, sym, rules)
      and safely shared across chains on different domains *)
   type tables = {
     t_n : int;
     t_halo : float;
-    t_weights : weights;
     t_vt : vtab array array;        (* per item, per variant *)
     t_n_nets : int;
     t_item_nets : int array array;  (* per item: distinct net ids, ascending *)
@@ -142,7 +137,7 @@ module Eval = struct
 
   (* -- table construction ----------------------------------------------- *)
 
-  let make_tables ~rules ~weights (items : item array) (sym : symmetry) =
+  let make_tables ~rules (items : item array) (sym : symmetry) =
     let n = Array.length items in
     if n = 0 then invalid_arg "Placer: empty item set";
     let net_ids : (string, int) Hashtbl.t = Hashtbl.create 32 in
@@ -228,7 +223,6 @@ module Eval = struct
     List.iter (fun i -> sym_member.(i) <- true) sym.self_symmetric;
     { t_n = n;
       t_halo = 1.2 *. rules.Rules.route_pitch;
-      t_weights = weights;
       t_vt = vt;
       t_n_nets = n_nets;
       t_item_nets = item_nets;
@@ -379,11 +373,10 @@ module Eval = struct
   let cost_parts t = (overlap_total t, t.bbox_area, wire_total t, t.sym_v)
 
   let cost t =
-    let w = t.tb.t_weights in
-    (w.w_overlap *. overlap_total t)
-    +. (w.w_area *. t.bbox_area)
-    +. (w.w_wire *. wire_total t)
-    +. (w.w_symmetry *. t.sym_v)
+    (w_overlap *. overlap_total t)
+    +. (w_area *. t.bbox_area)
+    +. (w_wire *. wire_total t)
+    +. (w_symmetry *. t.sym_v)
 
   (* -- move application -------------------------------------------------- *)
 
@@ -435,10 +428,9 @@ module Eval = struct
     union_nets t i j (fun t g -> acc := !acc +. net_hpwl t g);
     !acc
 
-  let weighted t ~d_overlap ~d_area ~d_wire ~d_sym =
-    let w = t.tb.t_weights in
-    (w.w_overlap *. d_overlap) +. (w.w_area *. d_area) +. (w.w_wire *. d_wire)
-    +. (w.w_symmetry *. d_sym)
+  let weighted ~d_overlap ~d_area ~d_wire ~d_sym =
+    (w_overlap *. d_overlap) +. (w_area *. d_area) +. (w_wire *. d_wire)
+    +. (w_symmetry *. d_sym)
 
   (* tentatively re-site cell [i]; returns the weighted cost delta *)
   let set_site_raw t i ~variant ~ori ~x ~y =
@@ -466,7 +458,7 @@ module Eval = struct
     if t.tb.t_sym_member.(i) then refresh_sym t;
     let ov1 = row_overlap t i in
     let wl1 = item_wl t i in
-    weighted t ~d_overlap:(ov1 -. ov0) ~d_area:(t.bbox_area -. a0)
+    weighted ~d_overlap:(ov1 -. ov0) ~d_area:(t.bbox_area -. a0)
       ~d_wire:(wl1 -. wl0) ~d_sym:(t.sym_v -. sv0)
 
   (* tentatively exchange the positions of [i] and [j] (variants and
@@ -509,7 +501,7 @@ module Eval = struct
     let pair1 = if wij > 0.0 && hij > 0.0 then wij *. hij else 0.0 in
     let ov1 = row_overlap t i +. row_overlap t j -. pair1 in
     let wl1 = union_wl t i j in
-    weighted t ~d_overlap:(ov1 -. ov0) ~d_area:(t.bbox_area -. a0)
+    weighted ~d_overlap:(ov1 -. ov0) ~d_area:(t.bbox_area -. a0)
       ~d_wire:(wl1 -. wl0) ~d_sym:(t.sym_v -. sv0)
 
   let commit t = t.pend <- P_none
@@ -603,9 +595,8 @@ module Eval = struct
     remember t;
     t
 
-  let create ?(rules = Rules.generic_07um) ?(weights = default_weights) items sym
-      placement =
-    of_tables (make_tables ~rules ~weights items sym) placement
+  let create ?(rules = Rules.generic_07um) items sym placement =
+    of_tables (make_tables ~rules items sym) placement
 
   let set_site t i (s : site) =
     set_site_raw t i ~variant:s.variant ~ori:(orient_index s.orient) ~x:s.x ~y:s.y
@@ -623,8 +614,7 @@ end
 let cost_parts ?rules items sym placement =
   Eval.cost_parts (Eval.create ?rules items sym placement)
 
-let cost ?rules ?weights items sym placement =
-  Eval.cost (Eval.create ?rules ?weights items sym placement)
+let cost ?rules items sym placement = Eval.cost (Eval.create ?rules items sym placement)
 
 let wirelength items placement =
   let _, _, wl, _ = cost_parts items no_symmetry placement in
@@ -646,7 +636,7 @@ let grid = 0.35e-6 (* placement grid: one lambda *)
 
 let snap v = Float.round (v /. grid) *. grid
 
-let place ?(rules = Rules.generic_07um) ?(weights = default_weights) ?schedule ?(seed = 17)
+let place ?(rules = Rules.generic_07um) ?schedule ?(seed = 17)
     ?(restarts = 1) ?jobs items sym =
   let n = Array.length items in
   let rng = Rng.create seed in
@@ -666,7 +656,7 @@ let place ?(rules = Rules.generic_07um) ?(weights = default_weights) ?schedule ?
     | None -> 1e-5
   in
   let full_span = span () in
-  let tables = Eval.make_tables ~rules ~weights items sym in
+  let tables = Eval.make_tables ~rules items sym in
   (* the same move mix and RNG draw sequence as the old copying neighbor
      (cell, then move choice, then the branch's own draws), but applied in
      place through the incremental evaluator: a move costs O(n) flops

@@ -30,20 +30,11 @@ type symmetry = {
 
 val no_symmetry : symmetry
 
-type weights = {
-  w_overlap : float;
-  w_area : float;
-  w_wire : float;
-  w_symmetry : float;
-}
-
-val default_weights : weights
-
 val realized : item array -> placement -> Cell.t list
 (** The placed cells (transformed and translated). *)
 
-val cost :
-  ?rules:Rules.t -> ?weights:weights -> item array -> symmetry -> placement -> float
+val cost : ?rules:Rules.t -> item array -> symmetry -> placement -> float
+(** The weighted scalar the annealer minimizes. *)
 
 val cost_parts :
   ?rules:Rules.t -> item array -> symmetry -> placement ->
@@ -66,8 +57,7 @@ val cost_parts :
 module Eval : sig
   type t
 
-  val create :
-    ?rules:Rules.t -> ?weights:weights -> item array -> symmetry -> placement -> t
+  val create : ?rules:Rules.t -> item array -> symmetry -> placement -> t
   (** Build tables and state for this placement.
       @raise Invalid_argument on an empty item set or length mismatch. *)
 
@@ -106,7 +96,6 @@ end
 
 val place :
   ?rules:Rules.t ->
-  ?weights:weights ->
   ?schedule:Mixsyn_opt.Anneal.schedule ->
   ?seed:int ->
   ?restarts:int ->

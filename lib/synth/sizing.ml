@@ -41,8 +41,7 @@ let failed_cost = 1e7
    evaluators), which is what makes sharing the result across jobs
    byte-identity-safe. *)
 let cache_key ?(tech = Mixsyn_circuit.Tech.generic_07um) ?(seed = 1) ?schedule
-    ?(polish = true) ?(context = []) ?(guardband = 1.0) strategy template ~specs
-    ~objectives =
+    ?(context = []) ?(guardband = 1.0) strategy template ~specs ~objectives =
   let open Mixsyn_util.Json in
   let bound = function
     | Spec.At_least v -> Arr [ Str "at-least"; Num v ]
@@ -85,14 +84,13 @@ let cache_key ?(tech = Mixsyn_circuit.Tech.generic_07um) ?(seed = 1) ?schedule
          ("tech", tech_json tech);
          ("seed", Num (float_of_int seed));
          ("schedule", schedule_json);
-         ("polish", Bool polish);
          ("guardband", Num guardband);
          ("context", Arr (List.map (fun (k, v) -> Arr [ Str k; Num v ]) context));
          ("specs", Arr (List.map spec specs));
          ("objectives", Arr (List.map objective objectives)) ])
 
-let size ?(tech = Mixsyn_circuit.Tech.generic_07um) ?(seed = 1) ?schedule ?(polish = true)
-    ?(context = []) ?(guardband = 1.0) ?(cache = true) strategy template ~specs ~objectives =
+let size ?(tech = Mixsyn_circuit.Tech.generic_07um) ?(seed = 1) ?schedule ?(context = [])
+    ?(guardband = 1.0) ?(cache = true) strategy template ~specs ~objectives =
   Mixsyn_util.Telemetry.with_span "sizing.size" @@ fun () ->
   let t0 = Unix.gettimeofday () in
   (* the optimizer chases tightened bounds; verification keeps the originals *)
@@ -172,18 +170,16 @@ let size ?(tech = Mixsyn_circuit.Tech.generic_07um) ?(seed = 1) ?schedule ?(poli
         Mixsyn_util.Telemetry.with_span "sizing.anneal" (fun () ->
             Mixsyn_opt.Anneal.minimize ~schedule ~rng problem)
       in
-      let annealed = outcome.Mixsyn_opt.Anneal.best in
-      if polish then begin
-        let lower = Array.map (fun p -> p.Template.lo) template.Template.params in
-        let upper = Array.map (fun p -> p.Template.hi) template.Template.params in
-        let options = { Mixsyn_opt.Nelder_mead.max_evals = 300; tolerance = 1e-12 } in
-        let x, _, _ =
-          Mixsyn_util.Telemetry.with_span "sizing.polish" (fun () ->
-              Mixsyn_opt.Nelder_mead.minimize ~options ~lower ~upper ~f:cost_of annealed)
-        in
-        x
-      end
-      else annealed
+      (* Nelder-Mead polish of the annealed optimum *)
+      let lower = Array.map (fun p -> p.Template.lo) template.Template.params in
+      let upper = Array.map (fun p -> p.Template.hi) template.Template.params in
+      let options = { Mixsyn_opt.Nelder_mead.max_evals = 300; tolerance = 1e-12 } in
+      let x, _, _ =
+        Mixsyn_util.Telemetry.with_span "sizing.polish" (fun () ->
+            Mixsyn_opt.Nelder_mead.minimize ~options ~lower ~upper ~f:cost_of
+              outcome.Mixsyn_opt.Anneal.best)
+      in
+      x
   in
   let predicted = Option.value (evaluator ~count:false params) ~default:[] in
   (* design verification: always score the result with the full simulator *)

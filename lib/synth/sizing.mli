@@ -8,7 +8,9 @@
     - [Awe_annealing] — DC solve + AWE small-signal evaluation
       (the ASTRX/OBLX [23] cost-function style).
 
-    Whatever the strategy, the result is verified with a full simulation —
+    The annealing strategies finish with a Nelder-Mead polish of the
+    annealed optimum.  Whatever the strategy, the result is verified with
+    a full simulation —
     the "design verification" step of the hierarchical methodology
     (Section 2.1). *)
 
@@ -33,7 +35,6 @@ val size :
   ?tech:Mixsyn_circuit.Tech.t ->
   ?seed:int ->
   ?schedule:Mixsyn_opt.Anneal.schedule ->
-  ?polish:bool ->
   ?context:(string * float) list ->
   ?guardband:float ->
   ?cache:bool ->
@@ -64,7 +65,6 @@ val cache_key :
   ?tech:Mixsyn_circuit.Tech.t ->
   ?seed:int ->
   ?schedule:Mixsyn_opt.Anneal.schedule ->
-  ?polish:bool ->
   ?context:(string * float) list ->
   ?guardband:float ->
   strategy ->
@@ -75,7 +75,7 @@ val cache_key :
 (** Canonical content-address of the {!size} run those arguments describe —
     a canonical-JSON string over every input that can change the result:
     strategy, the template's {e actual} parameter boxes (contraction and
-    pinning included), the full technology record, seed, schedule, polish,
+    pinning included), the full technology record, seed, schedule,
     guardband, and the ordered context/spec/objective lists (order is part
     of the key: the cost function folds violations in list order, so a
     reordering is a different float computation).  [size] is deterministic

@@ -7,17 +7,18 @@
    are bit-identical to the uncached path; hit/miss counts flow into the
    telemetry registry under "<name>.hits" / "<name>.misses".
 
-   Domain-safety is lock-striped: keys hash onto [shards] independent
-   (table, mutex) stripes, so concurrent domains working disjoint regions
-   of the parameter space never serialize on a shared lock.  Within a
-   stripe, misses are single-flight: the first domain to miss a key marks
-   it in flight and computes outside the lock; later domains asking for
-   the same key wait on the stripe's condition variable instead of
-   re-running the evaluator.  With a deterministic evaluator the observed
-   values are identical either way — single-flight only removes the
-   duplicated work the old one-mutex design tolerated. *)
+   One table behind one mutex: the sizing and detector memos are created
+   per call and used by one domain, and the only cache shared across
+   domains, the flow's stage cache, sees a few dozen lookups per batch.
+   Misses are single-flight: the first domain to miss a key marks it in
+   flight and computes outside the lock; later domains asking for the same
+   key wait on the condition variable instead of re-running the evaluator.
+   With a deterministic evaluator the observed values are identical either
+   way — single-flight only removes duplicated work. *)
 
-type ('k, 'v) shard = {
+type ('k, 'v) t = {
+  hits_key : string;    (* telemetry names built once, not per lookup *)
+  misses_key : string;
   table : ('k, 'v) Hashtbl.t;
   in_flight : ('k, unit) Hashtbl.t;
   lock : Mutex.t;
@@ -26,73 +27,49 @@ type ('k, 'v) shard = {
   mutable misses : int;
 }
 
-type ('k, 'v) t = {
-  cache_name : string;
-  hits_key : string;    (* telemetry names built once, not per lookup *)
-  misses_key : string;
-  shards : ('k, 'v) shard array;
-}
-
-let default_shards = 16
-
-let create ?(size = 256) ?(shards = default_shards) name =
-  if shards < 1 then invalid_arg "Eval_cache.create: shards must be at least 1";
-  { cache_name = name;
-    hits_key = name ^ ".hits";
+let create ?(size = 256) name =
+  { hits_key = name ^ ".hits";
     misses_key = name ^ ".misses";
-    shards =
-      Array.init shards (fun _ ->
-          { table = Hashtbl.create (max 1 (size / shards));
-            in_flight = Hashtbl.create 8;
-            lock = Mutex.create ();
-            settled = Condition.create ();
-            hits = 0;
-            misses = 0 }) }
+    table = Hashtbl.create size;
+    in_flight = Hashtbl.create 8;
+    lock = Mutex.create ();
+    settled = Condition.create ();
+    hits = 0;
+    misses = 0 }
 
-(* Routing must NOT reuse the hash the shard tables bucket with
-   ([Hashtbl.hash key], seed 0): the tables are power-of-two sized, so
-   with [shards] dividing the bucket count every key routed to shard [s]
-   would also land in a bucket index congruent to [s] — 1/shards of each
-   table used, chains [shards] times longer.  A distinct seed decorrelates
-   the two. *)
-let route_seed = 0x2545f49
-
-let shard_of c key =
-  c.shards.(Hashtbl.seeded_hash route_seed key mod Array.length c.shards)
-
-let locked s f =
-  Mutex.lock s.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock s.lock) f
+let locked c f =
+  Mutex.lock c.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock c.lock) f
 
 (* The annealing hot loop takes the hit path thousands of times per
    second, so it is written flat: one lock, one table probe, no closures,
    no [Fun.protect] (nothing under the lock can raise). *)
-let rec acquire c s key f =
-  (* called with [s.lock] held: hit, join an existing flight, or open one *)
-  match Hashtbl.find_opt s.table key with
+let rec acquire c key f =
+  (* called with [c.lock] held: hit, join an existing flight, or open one *)
+  match Hashtbl.find_opt c.table key with
   | Some v ->
-    s.hits <- s.hits + 1;
-    Mutex.unlock s.lock;
+    c.hits <- c.hits + 1;
+    Mutex.unlock c.lock;
     Telemetry.count c.hits_key;
     v
   | None ->
-    if Hashtbl.mem s.in_flight key then begin
-      Condition.wait s.settled s.lock;
-      acquire c s key f
+    if Hashtbl.mem c.in_flight key then begin
+      Condition.wait c.settled c.lock;
+      acquire c key f
     end
     else begin
-      s.misses <- s.misses + 1;
-      Hashtbl.add s.in_flight key ();
-      Mutex.unlock s.lock;
+      c.misses <- c.misses + 1;
+      Hashtbl.add c.in_flight key ();
+      Mutex.unlock c.lock;
       Telemetry.count c.misses_key;
       let land_flight cache =
-        Mutex.lock s.lock;
+        Mutex.lock c.lock;
         (match cache with
-         | Some v -> Hashtbl.replace s.table key v
+         | Some v -> Hashtbl.replace c.table key v
          | None -> ());
-        Hashtbl.remove s.in_flight key;
-        Condition.broadcast s.settled;
-        Mutex.unlock s.lock
+        Hashtbl.remove c.in_flight key;
+        Condition.broadcast c.settled;
+        Mutex.unlock c.lock
       in
       match f key with
       | v ->
@@ -106,21 +83,15 @@ let rec acquire c s key f =
     end
 
 let find_or_compute c key f =
-  let s = shard_of c key in
-  Mutex.lock s.lock;
-  acquire c s key f
+  Mutex.lock c.lock;
+  acquire c key f
 
-let fold_shards c f init =
-  Array.fold_left (fun acc s -> locked s (fun () -> f acc s)) init c.shards
-
-let hits c = fold_shards c (fun acc s -> acc + s.hits) 0
-let misses c = fold_shards c (fun acc s -> acc + s.misses) 0
-let length c = fold_shards c (fun acc s -> acc + Hashtbl.length s.table) 0
-
-let shard_count c = Array.length c.shards
+let hits c = locked c (fun () -> c.hits)
+let misses c = locked c (fun () -> c.misses)
+let length c = locked c (fun () -> Hashtbl.length c.table)
 
 let hit_rate c =
-  let h, m = fold_shards c (fun (h, m) s -> (h + s.hits, m + s.misses)) (0, 0) in
+  let h, m = locked c (fun () -> (c.hits, c.misses)) in
   let total = h + m in
   if total = 0 then 0.0 else float_of_int h /. float_of_int total
 
@@ -128,10 +99,7 @@ let hit_rate c =
    mirrors are left alone — they are cumulative by design).  In-flight
    computations are untouched: they land into the emptied table. *)
 let clear c =
-  Array.iter
-    (fun s ->
-      locked s (fun () ->
-          Hashtbl.reset s.table;
-          s.hits <- 0;
-          s.misses <- 0))
-    c.shards
+  locked c (fun () ->
+      Hashtbl.reset c.table;
+      c.hits <- 0;
+      c.misses <- 0)

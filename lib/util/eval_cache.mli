@@ -4,20 +4,17 @@
     parameter vector works directly.  Hit/miss counts are mirrored into
     {!Telemetry} under ["<name>.hits"] / ["<name>.misses"].
 
-    Domain-safe and lock-striped: keys hash onto [shards] independent
-    (table, mutex) stripes, so concurrent domains only contend when they
-    touch the same stripe.  Misses are {e single-flight} per stripe: while
-    one domain computes a key, others asking for the same key block until
-    the value lands instead of re-running the evaluator.  Computations run
-    outside every lock, and results are bit-identical to a sequential
-    run. *)
+    Domain-safe: one table behind one mutex.  Misses are
+    {e single-flight}: while one domain computes a key, others asking for
+    the same key block until the value lands instead of re-running the
+    evaluator.  Computations run outside the lock, and results are
+    bit-identical to a sequential run. *)
 
 type ('k, 'v) t
 
-val create : ?size:int -> ?shards:int -> string -> ('k, 'v) t
-(** [create name] — a cache with [shards] lock stripes (default 16) and an
-    initial capacity of [size] entries spread across them.
-    @raise Invalid_argument when [shards < 1]. *)
+val create : ?size:int -> string -> ('k, 'v) t
+(** [create name] — a cache with an initial capacity of [size] entries
+    (default 256). *)
 
 val find_or_compute : ('k, 'v) t -> 'k -> ('k -> 'v) -> 'v
 (** Return the cached value for the key, computing and storing it on the
@@ -29,8 +26,6 @@ val find_or_compute : ('k, 'v) t -> 'k -> ('k -> 'v) -> 'v
 val hits : ('k, 'v) t -> int
 val misses : ('k, 'v) t -> int
 val length : ('k, 'v) t -> int
-
-val shard_count : ('k, 'v) t -> int
 
 val hit_rate : ('k, 'v) t -> float
 (** Hits over total lookups; 0 before any lookup. *)

@@ -557,7 +557,17 @@ let test_eval_cache_memoizes () =
   Alcotest.(check int) "length" 2 (EC.length c);
   check_close "hit rate" (1.0 /. 3.0) (EC.hit_rate c);
   Alcotest.(check int) "hits mirrored to telemetry" 1 (T.counter "test.cache.hits");
-  Alcotest.(check int) "misses mirrored to telemetry" 2 (T.counter "test.cache.misses")
+  Alcotest.(check int) "misses mirrored to telemetry" 2 (T.counter "test.cache.misses");
+  (* counts over many keys: 64 first visits, then 64 replays *)
+  let spread = EC.create "test.spread" in
+  for _ = 1 to 2 do
+    for k = 0 to 63 do
+      ignore (EC.find_or_compute spread k (fun k -> k))
+    done
+  done;
+  Alcotest.(check int) "misses over 64 keys" 64 (EC.misses spread);
+  Alcotest.(check int) "hits over 64 keys" 64 (EC.hits spread);
+  Alcotest.(check int) "length over 64 keys" 64 (EC.length spread)
 
 let test_eval_cache_float_array_keys () =
   let c = EC.create "test.veccache" in
@@ -567,35 +577,9 @@ let test_eval_cache_float_array_keys () =
   check_close "structural key equality" 3.0 (EC.find_or_compute c [| 1.0; 2.0 |] f);
   Alcotest.(check int) "hit on equal array" 1 (EC.hits c)
 
-let test_eval_cache_shards () =
-  let c = EC.create "test.shards" in
-  Alcotest.(check int) "default stripe count" 16 (EC.shard_count c);
-  (* a single stripe is a valid (fully serialized) configuration *)
-  let one = EC.create ~shards:1 "test.oneshard" in
-  Alcotest.(check int) "one stripe" 1 (EC.shard_count one);
-  for k = 0 to 40 do
-    Alcotest.(check int) "single-stripe memoizes" (3 * k)
-      (EC.find_or_compute one k (fun k -> 3 * k))
-  done;
-  Alcotest.(check int) "length spans keys" 41 (EC.length one);
-  (match EC.create ~shards:0 "test.badshards" with
-   | exception Invalid_argument _ -> ()
-   | _ -> Alcotest.fail "shards=0 must raise");
-  (* counters aggregate across stripes: 64 keys spread over 16 stripes *)
-  let spread = EC.create "test.spread" in
-  for k = 0 to 63 do
-    ignore (EC.find_or_compute spread k (fun k -> k))
-  done;
-  for k = 0 to 63 do
-    ignore (EC.find_or_compute spread k (fun k -> k))
-  done;
-  Alcotest.(check int) "misses aggregate" 64 (EC.misses spread);
-  Alcotest.(check int) "hits aggregate" 64 (EC.hits spread);
-  Alcotest.(check int) "length aggregates" 64 (EC.length spread)
-
 let test_eval_cache_single_flight () =
   (* concurrent first visits of one key run the evaluator exactly once:
-     the in-flight marker is planted under the stripe lock before anyone
+     the in-flight marker is planted under the lock before anyone
      computes, so late arrivals block on the flight instead of re-running *)
   let c = EC.create "test.flight" in
   let runs = Atomic.make 0 in
@@ -927,7 +911,6 @@ let () =
       ( "eval-cache",
         [ Alcotest.test_case "memoizes" `Quick test_eval_cache_memoizes;
           Alcotest.test_case "float array keys" `Quick test_eval_cache_float_array_keys;
-          Alcotest.test_case "lock stripes" `Quick test_eval_cache_shards;
           Alcotest.test_case "single flight" `Quick test_eval_cache_single_flight ] );
       ( "ascii-plot",
         [ Alcotest.test_case "shapes" `Quick test_ascii_plot_shapes;
